@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, match, mgfest, pipeline
-from .model import GhMix, RoutingMatrix, is_one_identifiable
+from .model import GhMix, RoutingMatrix, identifiability_defects
 from .simulate import sample_paths
 
 __all__ = ["main", "cmd_check", "cmd_simulate", "cmd_estimate", "cmd_experiment"]
@@ -102,10 +102,15 @@ def _read_csv(path: str, n_paths: int):
                 raise ValidationError(
                     f"samples file {path} must have header path_id,sample_index,value"
                 )
-            for row in reader:
-                per_path.setdefault(int(row["path_id"]), []).append(
-                    float(row["value"])
-                )
+            try:
+                for row in reader:
+                    per_path.setdefault(int(row["path_id"]), []).append(
+                        float(row["value"])
+                    )
+            except (ValueError, TypeError) as exc:
+                raise ValidationError(
+                    f"samples file {path}, line {reader.line_num}: bad row ({exc})"
+                ) from exc
     except OSError as exc:
         raise ValidationError(f"cannot read samples file {path}: {exc}") from exc
     missing = [i for i in range(n_paths) if i not in per_path]
@@ -113,7 +118,18 @@ def _read_csv(path: str, n_paths: int):
         raise ValidationError(
             f"samples file {path} covers no samples for path(s) {missing}"
         )
-    return [np.asarray(per_path[i]) for i in range(n_paths)]
+    unknown = sorted(set(per_path) - set(range(n_paths)))
+    if unknown:
+        raise ValidationError(
+            f"samples file {path} has path id(s) {unknown} outside 0..{n_paths - 1}"
+        )
+    samples = [np.asarray(per_path[i]) for i in range(n_paths)]
+    for i, y in enumerate(samples):
+        if not np.isfinite(y).all():
+            raise ValidationError(f"samples file {path}: path {i} has non-finite values")
+        if (y < 0).any():
+            raise ValidationError(f"samples file {path}: path {i} has negative delays")
+    return samples
 
 
 def _parse_tau(text: str | None, a: RoutingMatrix, d: int):
@@ -151,21 +167,11 @@ def cmd_check(args) -> int:
     topo = _load_topology(args.topology)
     a = topo["routing"]
     sets = a.sets
-    verdict = is_one_identifiable(a)
-    if verdict:
-        print("1-identifiable: yes")
-    else:
-        arr = a.to_array()
-        cols = [tuple(arr[:, j]) for j in range(a.n_links)]
-        reasons = []
-        for j, c in enumerate(cols):
-            if not any(c):
-                reasons.append(f"column {j + 1} is all-zero")
-        for j1 in range(len(cols)):
-            for j2 in range(j1 + 1, len(cols)):
-                if cols[j1] == cols[j2]:
-                    reasons.append(f"columns {j1 + 1} and {j2 + 1} are identical")
+    reasons = identifiability_defects(a)
+    if reasons:
         print(f"1-identifiable: no ({'; '.join(reasons)})")
+    else:
+        print("1-identifiable: yes")
     shared = "{" + ",".join(str(j + 1) for j in sorted(sets.shared)) + "}"
     print(f"S={shared}")
     for j in range(a.n_links):

@@ -38,7 +38,6 @@ __all__ = [
     "assemble_system",
     "lambda_basis",
     "canonical_poly_value",
-    "format_polynomials",
 ]
 
 DEFAULT_COND_LIMIT = 1e10
@@ -412,25 +411,3 @@ def canonical_poly_value(x, t: float, n_i: int, d: int, lambdas, mu_t: float) ->
         prod *= acc
     return prod - mu_t
 
-
-def format_polynomials(polys, n_i: int, d: int) -> str:
-    """Human-readable listing of the system, one polynomial per line."""
-    names = {}
-    for j in range(1, n_i + 1):
-        for k in range(1, d + 1):
-            names[var_index(j, k, d)] = f"x{j}{k}"
-    lines = []
-    for idx, poly in enumerate(polys):
-        k, q = idx // n_i + 1, idx % n_i + 1
-        parts = []
-        for exps in sorted(poly.terms):
-            c = poly.terms[exps]
-            mono = "*".join(
-                names[v] if e == 1 else f"{names[v]}^{e}"
-                for v, e in enumerate(exps)
-                if e
-            )
-            cf = float(c) if not isinstance(c, complex) else c
-            parts.append(f"{cf:+g}*{mono}" if mono else f"{cf:+g}")
-        lines.append(f"h_{k}{q}(x) = " + (" ".join(parts) if parts else "0"))
-    return "\n".join(lines)

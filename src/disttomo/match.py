@@ -13,7 +13,7 @@ against its full root list.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,13 @@ class MatchingError(RuntimeError):
     """No root of the single covering path is compatible with the assignment."""
 
 
+# An explicit radius is shrunk by _SHRINK up to _MAX_RETRIES times; an
+# automatic one tries these multiples of the cross-path noise scale in turn.
+_SHRINK = 0.5
+_MAX_RETRIES = 40
+_AUTO_MULTIPLIERS = (0.55, 0.75, 1.0, 0.45, 0.35, 0.25, 0.15)
+
+
 @dataclass(frozen=True)
 class MatchConfig:
     """Clustering radius policy.
@@ -58,10 +65,6 @@ class MatchConfig:
     """
 
     delta: float | None = None
-    shrink: float = 0.5
-    max_retries: int = 40
-    strict: bool = False
-    auto_multipliers: tuple[float, ...] = (0.55, 0.75, 1.0, 0.45, 0.35, 0.25, 0.15)
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,8 @@ def cluster(
     points: list[tuple[np.ndarray, int]],
     delta: float,
     strict: bool = False,
-    shrink: float = 0.5,
-    max_retries: int = 40,
+    shrink: float = _SHRINK,
+    max_retries: int = _MAX_RETRIES,
 ) -> tuple[list[EquivClass], float]:
     """Partition labeled vectors into connected components of the 2*delta graph.
 
@@ -352,22 +355,16 @@ def run_matching(
         for vec in sol.reduced
     ]
     if cfg.delta is not None:
-        deltas = [cfg.delta * cfg.shrink**k for k in range(cfg.max_retries + 1)]
+        deltas = [cfg.delta * _SHRINK**k for k in range(_MAX_RETRIES + 1)]
     else:
         base = auto_delta(path_solutions)
         if not np.isfinite(base):
             base = 1e-8  # single-path setups have no cross-path scale
-        deltas = [max(m * base, 1e-9) for m in cfg.auto_multipliers]
+        deltas = [max(m * base, 1e-9) for m in _AUTO_MULTIPLIERS]
     last_error: Exception | None = None
     for delta in deltas:
         try:
-            classes, used = cluster(
-                points,
-                delta,
-                strict=cfg.strict,
-                shrink=cfg.shrink,
-                max_retries=cfg.max_retries,
-            )
+            classes, used = cluster(points, delta)
             stage1 = psi_stage1(classes, a)
             full = psi_stage2(stage1, classes, path_solutions, a, used)
             return finalize(full, classes, d, used, ground_truth=ground_truth)

@@ -44,8 +44,6 @@ class MgfProbe:
     mu_hat: tuple[float, ...]
     c_hat: tuple[float, ...]
     n_samples: int | None
-    kappa: float | None = None
-    eps: float | None = None
 
     def __post_init__(self):
         if len(set(self.tau)) != len(self.tau) or any(t <= 0 for t in self.tau):
@@ -121,9 +119,6 @@ def assemble_constants(
     lambdas,
     *,
     exact_mgf=None,
-    n_samples: int | None = None,
-    kappa: float | None = None,
-    eps: float | None = None,
 ) -> MgfProbe:
     """Estimate the MGF at each probe point and derive the constant vector.
 
@@ -146,9 +141,7 @@ def assemble_constants(
         mgf_hat=tuple(mgf),
         mu_hat=tuple(mu),
         c_hat=tuple(c),
-        n_samples=n_samples if n_samples is not None else count,
-        kappa=kappa,
-        eps=eps,
+        n_samples=count,
     )
 
 

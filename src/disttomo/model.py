@@ -27,6 +27,7 @@ __all__ = [
     "gh_mean",
     "hypoexp_cdf",
     "is_one_identifiable",
+    "identifiability_defects",
     "incidence_sets",
     "warn_on_duplicate_weights",
 ]
@@ -249,18 +250,27 @@ def incidence_sets(entries) -> IncidenceSets:
     return IncidenceSets(path_links, link_paths, off_paths, shared)
 
 
-def is_one_identifiable(a: RoutingMatrix | np.ndarray) -> bool:
-    """True iff every pair of columns is linearly independent.
+def identifiability_defects(a: RoutingMatrix | np.ndarray) -> list[str]:
+    """Why the routing matrix is not 1-identifiable; empty when it is.
 
-    For binary columns this reduces to: no all-zero column and all columns
-    pairwise distinct (two distinct nonzero 0/1 vectors can only be dependent
-    when equal).
+    For binary columns, pairwise linear independence reduces to: no
+    all-zero column and all columns pairwise distinct (two distinct nonzero
+    0/1 vectors can only be dependent when equal).  Columns are numbered
+    from 1.
     """
     arr = a.to_array() if isinstance(a, RoutingMatrix) else np.asarray(a, dtype=int)
     cols = [tuple(arr[:, j]) for j in range(arr.shape[1])]
-    if any(not any(c) for c in cols):
-        return False
-    return len(set(cols)) == len(cols)
+    reasons = [f"column {j + 1} is all-zero" for j, c in enumerate(cols) if not any(c)]
+    for j1 in range(len(cols)):
+        for j2 in range(j1 + 1, len(cols)):
+            if cols[j1] == cols[j2]:
+                reasons.append(f"columns {j1 + 1} and {j2 + 1} are identical")
+    return reasons
+
+
+def is_one_identifiable(a: RoutingMatrix | np.ndarray) -> bool:
+    """True iff every pair of columns is linearly independent."""
+    return not identifiability_defects(a)
 
 
 def warn_on_duplicate_weights(mixes: list[GhMix]) -> list[tuple[int, int]]:

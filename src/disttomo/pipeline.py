@@ -2,21 +2,33 @@
 
 Each path is processed independently (probe selection, MGF estimation,
 system construction, all-roots solve) and the per-path solution clouds are
-then matched across paths to produce one estimate per link.
+then matched across paths to produce one estimate per link.  On sampled
+data a binned maximum-likelihood fit over all paths polishes the matched
+estimate.  Topologies that are not 1-identifiable are rejected up front.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import minimize
 
 from . import epsbuild, expmeans, match, mgfest, model, polysolve
 
 __all__ = ["EstimateOptions", "estimate_gh", "estimate_exp", "PathDiagnostics"]
+
+# Roots whose imaginary parts stay below this count as real.  Sampled data
+# gets a loose bound: sampling noise can collide a close pair of real roots
+# into a complex conjugate pair whose real part still estimates the pair well.
+_NEAR_REAL_TOL_EXACT = 1e-6
+_NEAR_REAL_TOL_SAMPLED = 0.35
+# Quantile bins per path and Dirichlet restarts of the likelihood polish.
+_POLISH_BINS = 1000
+_POLISH_STARTS = 16
 
 
 @dataclass(frozen=True)
@@ -27,23 +39,6 @@ class EstimateOptions:
     tau_seed: int = 0
     solver_seed: int = 0
     delta: float | None = None  # None -> automatic clustering radius
-    cond_limit: float = epsbuild.DEFAULT_COND_LIMIT
-    # None picks 1e-6 for the exact-MGF mode and 0.35 for sampled data:
-    # sampling noise can collide a close pair of real roots into a complex
-    # conjugate pair whose real part still estimates the pair well.
-    near_real_tol: float | None = None
-    solve_config: polysolve.SolveConfig | None = None
-    # Joint refinement: after matching, fit every link's weights at once to
-    # all paths' empirical MGF curves.  A single path determines the split
-    # between its links' vectors poorly (the per-path system has a sloppy
-    # direction), but the paths jointly pin it down.  None enables the stage
-    # for sampled data and disables it in the exact-MGF mode.
-    refine: bool | None = None
-    refine_starts: int = 8
-    refine_grid: int = 30
-    refine_spread: float = 0.3
-    polish_bins: int = 1000
-    polish_starts: int = 16
 
 
 @dataclass(frozen=True)
@@ -59,59 +54,10 @@ def _blocks(root: np.ndarray, n_i: int, d: int) -> tuple[np.ndarray, ...]:
     return tuple(root[j * d:(j + 1) * d] for j in range(n_i))
 
 
-def _joint_refine(
-    a: model.RoutingMatrix,
-    lambdas,
-    samples,
-    inits: list[np.ndarray],
-    seed: int,
-    n_grid: int,
-    n_starts: int,
-    spread: float,
-) -> tuple[np.ndarray, float]:
-    """Fit all links' free weights at once to the empirical path MGF curves.
-
-    ``inits`` are (N, d) starting points (the matched estimate plus a
-    uniform-weights fallback); each is perturbed into a small multistart and
-    the best-cost fit wins.  Returns the refined (N, d) matrix and the cost.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    d = lam.size - 1
-    n = a.n_links
-    t_grid = np.geomspace(0.05 * lam.min(), 4.0 * lam.max(), n_grid)
-    basis = lam[None, :] / (lam[None, :] + t_grid[:, None])  # (grid, d+1)
-    emp = [
-        np.array([mgfest.empirical_mgf(samples[i], t) for t in t_grid])
-        for i in range(a.n_paths)
-    ]
-    rows = [np.array(sorted(a.path_links(i)), dtype=int) for i in range(a.n_paths)]
-
-    def residual(x):
-        w_free = x.reshape(n, d)
-        w_full = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
-        link_mgf = basis @ w_full.T  # (grid, N)
-        return np.concatenate(
-            [np.prod(link_mgf[:, r], axis=1) - emp[i] for i, r in enumerate(rows)]
-        )
-
-    rng = np.random.default_rng(seed)
-    starts = [np.asarray(base, dtype=float) for base in inits]
-    while len(starts) < n_starts:
-        base = inits[len(starts) % len(inits)]
-        starts.append(np.asarray(base, dtype=float) + rng.normal(0.0, spread, (n, d)))
-    best_x, best_cost = None, np.inf
-    for x0 in starts:
-        try:
-            fit = least_squares(
-                residual, x0.ravel(), method="lm", xtol=1e-14, ftol=1e-14
-            )
-        except Exception:
-            continue
-        if fit.cost < best_cost:
-            best_x, best_cost = fit.x, fit.cost
-    if best_x is None:
-        raise RuntimeError("joint refinement failed from every starting point")
-    return best_x.reshape(n, d), float(best_cost)
+def _check_identifiable(a: model.RoutingMatrix) -> None:
+    reasons = model.identifiability_defects(a)
+    if reasons:
+        raise ValueError(f"routing matrix is not 1-identifiable: {'; '.join(reasons)}")
 
 
 def _likelihood_polish(
@@ -132,9 +78,9 @@ def _likelihood_polish(
     ``inits`` plus ``n_starts`` Dirichlet draws, and the best-likelihood fit
     is returned.  This squeezes the full per-sample information out of the
     data, unlike the handful of MGF evaluations the polynomial stage
-    consumes.  The random restarts matter: the MGF-curve fit can park all
-    the candidates in a spurious basin that the likelihood ranks below the
-    genuine one, and only a fresh start escapes it.
+    consumes.  The random restarts matter: the matched weights can sit in a
+    spurious basin that the likelihood ranks below the genuine one, and only
+    a fresh start escapes it.
 
     Bin probabilities are floored at 1e-12 (with the gradient masked there)
     so a handful of tail outliers the rate model cannot explain contribute
@@ -222,40 +168,37 @@ def estimate_gh(
     samples=None,
     exact_mixes: list[model.GhMix] | None = None,
     options: EstimateOptions | None = None,
-    match_config: match.MatchConfig | None = None,
     ground_truth=None,
 ):
     """Estimate every link's weight vector over the shared rates ``lambdas``.
 
     Either per-path ``samples`` (sequence indexed by path) or
     ``exact_mixes`` (ground-truth mixtures enabling the noise-free analytic
-    MGF mode) must be given.  Returns (MatchResult, diagnostics).
+    MGF mode) must be given.  On samples, the matched weights are polished
+    by a binned maximum-likelihood fit; when matching fails there, the fit
+    starts without them, with a warning.  Returns (MatchResult, diagnostics).
     """
     opts = options or EstimateOptions()
     d = len(lambdas) - 1
     if samples is None and exact_mixes is None:
         raise ValueError("need either samples or exact_mixes")
+    _check_identifiable(a)
+    polish = exact_mixes is None
     path_solutions: dict[int, match.PathSolutions] = {}
     diagnostics: list[PathDiagnostics] = []
     eps_cache: dict[int, list[epsbuild.SparsePoly]] = {}
-    near_real = opts.near_real_tol
-    if near_real is None:
-        near_real = 1e-6 if exact_mixes is not None else 0.35
-    solve_cfg = opts.solve_config or polysolve.SolveConfig(
-        seed=opts.solver_seed, near_real_tol=near_real
+    solve_cfg = polysolve.SolveConfig(
+        seed=opts.solver_seed,
+        near_real_tol=_NEAR_REAL_TOL_SAMPLED if polish else _NEAR_REAL_TOL_EXACT,
     )
     for i in range(a.n_paths):
         links = tuple(sorted(a.path_links(i)))
         n_i = len(links)
         if opts.tau is not None and i in opts.tau:
             tau = tuple(opts.tau[i])
-            epsbuild.build_t_tau(tau, n_i, d, lambdas, cond_limit=opts.cond_limit)
+            epsbuild.build_t_tau(tau, n_i, d, lambdas)
         else:
-            tau = mgfest.choose_tau(
-                n_i, d, lambdas,
-                seed=opts.tau_seed + 7919 * i,
-                cond_limit=opts.cond_limit,
-            )
+            tau = mgfest.choose_tau(n_i, d, lambdas, seed=opts.tau_seed + 7919 * i)
         if exact_mixes is not None:
             path_mixes = [exact_mixes[j] for j in links]
 
@@ -267,7 +210,7 @@ def estimate_gh(
             probe = mgfest.assemble_constants(samples[i], tau, n_i, lambdas)
         if n_i not in eps_cache:
             eps_cache[n_i] = epsbuild.build_eps(n_i, d, lambdas)
-        t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas, cond_limit=opts.cond_limit)
+        t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
         system = epsbuild.assemble_system(
             eps_cache[n_i], t_tau, probe.c_hat,
             n_i=n_i, d=d, lambdas=lambdas, path_id=i,
@@ -289,43 +232,42 @@ def estimate_gh(
                 n_path_failures=sol.n_path_failures,
             )
         )
-    cfg = match_config or match.MatchConfig(delta=opts.delta)
-    refine = opts.refine
-    if refine is None:
-        refine = exact_mixes is None
+    match_error = None
     try:
         result = match.run_matching(
-            a, path_solutions, d, config=cfg, ground_truth=ground_truth
+            a, path_solutions, d,
+            config=match.MatchConfig(delta=opts.delta),
+            ground_truth=ground_truth,
         )
-    except match.AmbiguityError:
-        if not refine:
+    except match.AmbiguityError as exc:
+        if not polish:
             raise
-        result = None
-    if not refine:
+        warnings.warn(
+            f"cross-path matching failed, so the likelihood fit starts from "
+            f"uniform and random weights only: {exc}",
+            stacklevel=2,
+        )
+        result, match_error = None, str(exc)
+    if not polish:
         return result, diagnostics
-    inits = []
-    if result is not None:
-        inits.append(result.weights[:, :d])
-    inits.append(np.full((a.n_links, d), 1.0 / (d + 1)))
-    w_free, cost = _joint_refine(
-        a, lambdas, samples, inits,
-        seed=opts.solver_seed,
-        n_grid=opts.refine_grid,
-        n_starts=opts.refine_starts,
-        spread=opts.refine_spread,
-    )
+    uniform = np.full((a.n_links, d), 1.0 / (d + 1))
+    inits = [uniform] if result is None else [result.weights[:, :d], uniform]
     w_free = _likelihood_polish(
-        a, lambdas, samples,
-        [w_free, np.full((a.n_links, d), 1.0 / (d + 1))],
-        n_bins=opts.polish_bins,
+        a, lambdas, samples, inits,
+        n_bins=_POLISH_BINS,
         seed=opts.solver_seed,
-        n_starts=opts.polish_starts,
+        n_starts=_POLISH_STARTS,
     )
     weights = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
     if result is None:
         sets = a.sets
         provenance = tuple(
-            {"link": j, "paths": sorted(sets.link_paths[j]), "refined": True}
+            {
+                "link": j,
+                "paths": sorted(sets.link_paths[j]),
+                "refined": True,
+                "match_error": match_error,
+            }
             for j in range(a.n_links)
         )
         result = match.MatchResult(
@@ -360,7 +302,6 @@ def estimate_exp(
     samples=None,
     exact_means=None,
     options: EstimateOptions | None = None,
-    match_config: match.MatchConfig | None = None,
     ground_truth=None,
 ):
     """Estimate per-link exponential means.
@@ -372,6 +313,7 @@ def estimate_exp(
     opts = options or EstimateOptions()
     if samples is None and exact_means is None:
         raise ValueError("need either samples or exact_means")
+    _check_identifiable(a)
     path_means: dict[int, np.ndarray] = {}
     diagnostics = []
     for i in range(a.n_paths):
@@ -402,8 +344,9 @@ def estimate_exp(
                 n_reduced=len(means), n_path_failures=int(flagged),
             )
         )
-    cfg = match_config or match.MatchConfig(delta=opts.delta)
     means, result = expmeans.match_means(
-        a, path_means, config=cfg, ground_truth=ground_truth
+        a, path_means,
+        config=match.MatchConfig(delta=opts.delta),
+        ground_truth=ground_truth,
     )
     return means, result, diagnostics

@@ -13,7 +13,7 @@ as failures and the generically-nonsingular solutions survive.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +30,24 @@ __all__ = [
 ]
 
 
+# Path tracking: homotopy step bounds, Newton corrector steps per step, and
+# the norm beyond which a path is taken to escape to infinity.
+_MAX_STEP = 0.1
+_MIN_STEP = 1e-6
+_CORRECTOR_STEPS = 3
+_BLOWUP = 1e8
+# Endpoint polish, deduplication radius, and the share of failed paths
+# (not counting divergent ones) above which a solve warns.
+_REFINE_TOL = 1e-10
+_REFINE_MAX_ITER = 50
+_DEDUP_TOL = 1e-6
+_FAILURE_WARN_FRAC = 0.05
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int = 0
-    max_step: float = 0.1
-    min_step: float = 1e-6
-    corrector_steps: int = 3
-    corrector_tol: float = 1e-10
-    refine_tol: float = 1e-10
-    refine_max_iter: int = 50
-    dedup_tol: float = 1e-6
     near_real_tol: float = 1e-6
-    blowup: float = 1e8
-    failure_warn_frac: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,6 @@ class SolutionSet:
     reduced: tuple[np.ndarray, ...]
     n_path_failures: int
     n_paths: int
-    dedup_tol: float
 
     @property
     def n_roots(self) -> int:
@@ -107,7 +111,7 @@ def _start_points(degrees: tuple[int, ...]):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _track_path(ev, degrees, gamma, x0, cfg: SolveConfig):
+def _track_path(ev, degrees, gamma, x0):
     """Track one path of the blended homotopy from s=0 to s=1.
 
     Returns ("root", x), ("infinity", None) for a path escaping to infinity
@@ -117,7 +121,7 @@ def _track_path(ev, degrees, gamma, x0, cfg: SolveConfig):
     degs = np.asarray(degrees, dtype=float)
     x = x0.astype(complex)
     s = 0.0
-    step = cfg.max_step
+    step = _MAX_STEP
 
     def g_parts(xv):
         gval = xv ** degs - 1.0
@@ -133,13 +137,13 @@ def _track_path(ev, degrees, gamma, x0, cfg: SolveConfig):
             dx = np.linalg.solve(jac, -(fval - gamma * gval))
         except np.linalg.LinAlgError:
             step *= 0.5
-            if step < cfg.min_step:
+            if step < _MIN_STEP:
                 return "failed", None
             continue
         xc = x + dx * ds
         s_new = s + ds
         ok = False
-        for it in range(cfg.corrector_steps):
+        for it in range(_CORRECTOR_STEPS):
             fval, fjac = ev(xc)
             gval, gjac = g_parts(xc)
             hval = gamma * (1.0 - s_new) * gval + s_new * fval
@@ -155,12 +159,12 @@ def _track_path(ev, degrees, gamma, x0, cfg: SolveConfig):
         if ok:
             x, s = xc, s_new
             if it == 0:
-                step = min(step * 2.0, cfg.max_step)
-            if np.linalg.norm(x) > cfg.blowup:
+                step = min(step * 2.0, _MAX_STEP)
+            if np.linalg.norm(x) > _BLOWUP:
                 return "infinity", None
         else:
             step *= 0.5
-            if step < cfg.min_step:
+            if step < _MIN_STEP:
                 # Step collapse near the end usually means the path escapes
                 # to infinity as s -> 1; treat it as failure only away from
                 # the endpoint.
@@ -245,14 +249,14 @@ def solve_system(system: EpsSystem, config: SolveConfig | None = None) -> Soluti
     failures = 0
     diverged = 0
     for x0 in starts:
-        tag, x_end = _track_path(ev, degrees, gamma, x0, cfg)
+        tag, x_end = _track_path(ev, degrees, gamma, x0)
         if tag == "infinity":
             diverged += 1
             continue
         if tag == "failed":
             failures += 1
             continue
-        ref = newton_refine(system, x_end, tol=cfg.refine_tol, max_iter=cfg.refine_max_iter)
+        ref = newton_refine(system, x_end, tol=_REFINE_TOL, max_iter=_REFINE_MAX_ITER)
         if ref.converged and not ref.suspect:
             endpoints.append((ref.point, ref.residual))
         elif ref.converged and ref.suspect:
@@ -267,13 +271,13 @@ def solve_system(system: EpsSystem, config: SolveConfig | None = None) -> Soluti
         raise RuntimeError("all continuation paths failed; system may be degenerate")
     # Paths diverging to infinity are expected whenever the root count is
     # below the Bezout bound, so only finite-path losses are diagnosed.
-    if failures > cfg.failure_warn_frac * len(starts):
+    if failures > _FAILURE_WARN_FRAC * len(starts):
         warnings.warn(
             f"{failures}/{len(starts)} continuation paths failed "
             f"({diverged} diverged to infinity)",
             stacklevel=2,
         )
-    pts = _dedup([p for p, _ in endpoints], cfg.dedup_tol)
+    pts = _dedup([p for p, _ in endpoints], _DEDUP_TOL)
     roots = []
     residuals = []
     for p in pts:
@@ -281,7 +285,7 @@ def solve_system(system: EpsSystem, config: SolveConfig | None = None) -> Soluti
         roots.append(p)
         residuals.append(res)
     reduced = reduce_first_components(
-        roots, system.d, dedup_tol=cfg.dedup_tol, near_real_tol=cfg.near_real_tol
+        roots, system.d, dedup_tol=_DEDUP_TOL, near_real_tol=cfg.near_real_tol
     )
     return SolutionSet(
         roots=tuple(roots),
@@ -289,14 +293,13 @@ def solve_system(system: EpsSystem, config: SolveConfig | None = None) -> Soluti
         reduced=tuple(reduced),
         n_path_failures=failures,
         n_paths=len(starts),
-        dedup_tol=cfg.dedup_tol,
     )
 
 
 def reduce_first_components(
     roots,
     d: int,
-    dedup_tol: float = 1e-6,
+    dedup_tol: float = _DEDUP_TOL,
     near_real_tol: float = 1e-6,
 ) -> list[np.ndarray]:
     """Distinct first-block components of the roots, near-real ones only.

@@ -133,6 +133,24 @@ class TestEstimate:
         assert cli.main(argv) == 2
         assert "path(s) [1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,0,1.5\n0,1\n", "line 3"),
+            ("0,0,1.5\n1,0,nan\n", "path 1 has non-finite"),
+            ("0,0,inf\n1,0,0.7\n", "path 0 has non-finite"),
+            ("0,0,1.5\n1,0,-0.7\n", "path 1 has negative"),
+            ("0,0,1.5\n1,0,0.7\n2,0,0.9\n", "path id(s) [2] outside 0..1"),
+        ],
+        ids=["truncated", "nan", "inf", "negative", "unknown_path"],
+    )
+    def test_bad_sample_rows_exit_2(self, topo_path, tmp_path, capsys, rows, message):
+        samples = tmp_path / "bad.csv"
+        samples.write_text("path_id,sample_index,value\n" + rows)
+        argv = ["estimate", "--topology", topo_path, "--samples", str(samples)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_header_exits_2(self, topo_path, tmp_path, capsys):
         samples = tmp_path / "badhdr.csv"
         samples.write_text("pid,value\n0,1.5\n")
