@@ -2,9 +2,10 @@
 
 Links are modelled as generalized hyperexponential distributions over a
 shared, known rate vector (or as plain exponentials); end-to-end delay
-samples per path are turned into per-link weight vectors (or means) by
-solving per-path polynomial systems and matching the solutions across paths
-on 1-identifiable topologies.
+samples per path are turned into per-link weight vectors (or means) on
+1-identifiable topologies, either by solving per-path polynomial systems and
+matching the solutions across paths (``algebraic_gh``, ``estimate_exp``) or,
+for GH weights on samples, by a binned likelihood fit (``estimate_gh``).
 """
 
 from .experiments import EXPERIMENTS, ExperimentSetup, get_setup, run_experiment
@@ -19,7 +20,9 @@ from .model import (
     incidence_sets,
     is_one_identifiable,
 )
-from .pipeline import EstimateOptions, PathDiagnostics, estimate_exp, estimate_gh
+from .pipeline import (
+    EstimateOptions, PathDiagnostics, algebraic_gh, estimate_exp, estimate_gh
+)
 from .simulate import SampleSet, sample_mix, sample_paths
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "sample_paths",
     "EstimateOptions",
     "PathDiagnostics",
+    "algebraic_gh",
     "estimate_gh",
     "estimate_exp",
     "ExperimentSetup",

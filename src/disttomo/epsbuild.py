@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -99,7 +99,7 @@ class SparsePoly:
     construction mode used in tests).
     """
 
-    __slots__ = ("nvars", "terms", "_expmat", "_coeffs")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
@@ -107,8 +107,6 @@ class SparsePoly:
         if terms:
             for exps, c in terms.items():
                 self.add_term(exps, c)
-        self._expmat = None
-        self._coeffs = None
 
     def add_term(self, exps: tuple[int, ...], coeff) -> None:
         if len(exps) != self.nvars:
@@ -118,32 +116,20 @@ class SparsePoly:
             self.terms.pop(exps, None)
         else:
             self.terms[exps] = new
-        self._expmat = None
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (exponent matrix, coefficient vector) cache for evaluation."""
-        if self._expmat is None:
-            if self.terms:
-                keys = sorted(self.terms)
-                self._expmat = np.array(keys, dtype=np.int64)
-                self._coeffs = np.array(
-                    [complex(self.terms[k]) for k in keys], dtype=complex
-                )
-            else:
-                self._expmat = np.zeros((0, self.nvars), dtype=np.int64)
-                self._coeffs = np.zeros(0, dtype=complex)
-        return self._expmat, self._coeffs
-
     def __call__(self, x) -> complex:
-        x = np.asarray(x, dtype=complex)
-        expmat, coeffs = self.arrays()
-        if expmat.shape[0] == 0:
-            return 0.0 + 0.0j
-        mono = np.prod(x[None, :] ** expmat, axis=1)
-        return complex(coeffs @ mono)
+        """Value at a (possibly complex) point, summed term by term."""
+        x = [complex(v) for v in x]
+        return sum(
+            (
+                complex(c) * math.prod(v**e for v, e in zip(x, exps) if e)
+                for exps, c in self.terms.items()
+            ),
+            0j,
+        )
 
     def derivative(self, var: int) -> "SparsePoly":
         out = SparsePoly(self.nvars)
@@ -361,12 +347,50 @@ class EpsSystem:
     def nvars(self) -> int:
         return self.polynomials[0].nvars
 
+    @cached_property
+    def evaluator(self) -> _SystemEvaluator:
+        """Joint value/Jacobian evaluator, built once per system."""
+        return _SystemEvaluator(self)
+
     def residual(self, x) -> np.ndarray:
         """E(x) - u at a (possibly complex) point."""
-        return np.array([p(x) for p in self.polynomials]) - self.rhs
+        return self.evaluator(np.asarray(x, dtype=complex))[0]
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(p.degree() for p in self.polynomials)
+
+
+class _SystemEvaluator:
+    """Joint value/Jacobian evaluation of E(x) - u via one monomial table."""
+
+    def __init__(self, system: EpsSystem):
+        self.n = len(system.polynomials)
+        self.nvars = system.nvars
+        self.rhs = np.asarray(system.rhs, dtype=complex)
+        mono_index: dict[tuple[int, ...], int] = {}
+        rows = []  # (row, exps, coeff) over F rows then Jacobian rows
+        for i, p in enumerate(system.polynomials):
+            for exps, c in p.terms.items():
+                rows.append((i, exps, complex(c)))
+            for v in range(self.nvars):
+                dp = p.derivative(v)
+                for exps, c in dp.terms.items():
+                    rows.append((self.n + i * self.nvars + v, exps, complex(c)))
+        for _, exps, _ in rows:
+            if exps not in mono_index:
+                mono_index[exps] = len(mono_index)
+        self.expmat = np.array(sorted(mono_index, key=mono_index.get), dtype=np.int64)
+        ncols = len(mono_index)
+        self.cmat = np.zeros((self.n * (1 + self.nvars), ncols), dtype=complex)
+        for row, exps, c in rows:
+            self.cmat[row, mono_index[exps]] += c
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mono = np.prod(x[None, :] ** self.expmat, axis=1)
+        out = self.cmat @ mono
+        f = out[: self.n] - self.rhs
+        jac = out[self.n:].reshape(self.n, self.nvars)
+        return f, jac
 
 
 def assemble_system(

@@ -9,7 +9,6 @@ linearly independent (1-identifiability).
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -29,7 +28,6 @@ __all__ = [
     "is_one_identifiable",
     "identifiability_defects",
     "incidence_sets",
-    "warn_on_duplicate_weights",
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -271,23 +269,3 @@ def identifiability_defects(a: RoutingMatrix | np.ndarray) -> list[str]:
 def is_one_identifiable(a: RoutingMatrix | np.ndarray) -> bool:
     """True iff every pair of columns is linearly independent."""
     return not identifiability_defects(a)
-
-
-def warn_on_duplicate_weights(mixes: list[GhMix]) -> list[tuple[int, int]]:
-    """Warn when two links share an identical weight vector.
-
-    The matching phase assumes weight vectors of distinct links differ in at
-    least one component; violations make link assignment ambiguous.
-    Returns the offending index pairs.
-    """
-    dupes = []
-    for j1 in range(len(mixes)):
-        for j2 in range(j1 + 1, len(mixes)):
-            if mixes[j1].weights == mixes[j2].weights:
-                dupes.append((j1, j2))
-    if dupes:
-        warnings.warn(
-            f"links {dupes} share identical weight vectors; matching may be ambiguous",
-            stacklevel=2,
-        )
-    return dupes

@@ -1,17 +1,17 @@
-"""End-to-end estimation pipelines wiring the per-path stages together.
+"""End-to-end estimators.
 
-Each path is processed independently (probe selection, MGF estimation,
-system construction, all-roots solve) and the per-path solution clouds are
-then matched across paths to produce one estimate per link.  On sampled
-data a binned maximum-likelihood fit over all paths polishes the matched
-estimate.  Topologies that are not 1-identifiable are rejected up front.
+``algebraic_gh`` is the paper's method: each path is processed
+independently (probe selection, MGF estimation, system construction,
+all-roots solve) and the per-path solution clouds are then matched across
+paths to produce one estimate per link.  ``estimate_gh`` runs it on exact
+MGFs and a binned maximum-likelihood fit over all paths on samples.
+Topologies that are not 1-identifiable are rejected up front.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -19,7 +19,9 @@ from scipy.optimize import minimize
 
 from . import epsbuild, expmeans, match, mgfest, model, polysolve
 
-__all__ = ["EstimateOptions", "estimate_gh", "estimate_exp", "PathDiagnostics"]
+__all__ = [
+    "EstimateOptions", "algebraic_gh", "estimate_gh", "estimate_exp", "PathDiagnostics"
+]
 
 # Roots whose imaginary parts stay below this count as real.  Sampled data
 # gets a loose bound: sampling noise can collide a close pair of real roots
@@ -69,7 +71,7 @@ def _likelihood_polish(
     seed: int = 0,
     n_starts: int = 0,
 ) -> np.ndarray:
-    """Binned maximum-likelihood polish of the (N, d) free-weight matrix.
+    """Binned maximum-likelihood fit of the (N, d) free-weight matrix.
 
     Each path's delay is a mixture over stage assignments of hypoexponential
     distributions, so the probability of every quantile bin is a multilinear
@@ -78,9 +80,8 @@ def _likelihood_polish(
     ``inits`` plus ``n_starts`` Dirichlet draws, and the best-likelihood fit
     is returned.  This squeezes the full per-sample information out of the
     data, unlike the handful of MGF evaluations the polynomial stage
-    consumes.  The random restarts matter: the matched weights can sit in a
-    spurious basin that the likelihood ranks below the genuine one, and only
-    a fresh start escapes it.
+    consumes.  The random restarts matter: a single start can settle in a
+    spurious basin that the likelihood ranks below the genuine one.
 
     Bin probabilities are floored at 1e-12 (with the gradient masked there)
     so a handful of tail outliers the rate model cannot explain contribute
@@ -161,7 +162,7 @@ def _likelihood_polish(
     return best_x.reshape(n, d)
 
 
-def estimate_gh(
+def algebraic_gh(
     a: model.RoutingMatrix,
     lambdas,
     *,
@@ -170,27 +171,25 @@ def estimate_gh(
     options: EstimateOptions | None = None,
     ground_truth=None,
 ):
-    """Estimate every link's weight vector over the shared rates ``lambdas``.
+    """The paper's algebraic estimator of every link's weight vector.
 
-    Either per-path ``samples`` (sequence indexed by path) or
-    ``exact_mixes`` (ground-truth mixtures enabling the noise-free analytic
-    MGF mode) must be given.  On samples, the matched weights are polished
-    by a binned maximum-likelihood fit; when matching fails there, the fit
-    starts without them, with a warning.  Returns (MatchResult, diagnostics).
+    Per path: probe points, MGF constants (empirical from ``samples``, or
+    analytic from ``exact_mixes`` when given), the elementary polynomial
+    system and all its roots; then the roots are matched across paths.
+    Returns (MatchResult, diagnostics) and raises ``match.AmbiguityError``
+    when matching fails.  With ``exact_mixes``, a row that is not a valid
+    mixture raises ``RuntimeError``: noise-free data admits no such answer.
     """
     opts = options or EstimateOptions()
     d = len(lambdas) - 1
     if samples is None and exact_mixes is None:
         raise ValueError("need either samples or exact_mixes")
     _check_identifiable(a)
-    polish = exact_mixes is None
     path_solutions: dict[int, match.PathSolutions] = {}
     diagnostics: list[PathDiagnostics] = []
     eps_cache: dict[int, list[epsbuild.SparsePoly]] = {}
-    solve_cfg = polysolve.SolveConfig(
-        seed=opts.solver_seed,
-        near_real_tol=_NEAR_REAL_TOL_SAMPLED if polish else _NEAR_REAL_TOL_EXACT,
-    )
+    near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact_mixes is None else _NEAR_REAL_TOL_EXACT
+    solve_cfg = polysolve.SolveConfig(seed=opts.solver_seed, near_real_tol=near_real_tol)
     for i in range(a.n_paths):
         links = tuple(sorted(a.path_links(i)))
         n_i = len(links)
@@ -232,61 +231,75 @@ def estimate_gh(
                 n_path_failures=sol.n_path_failures,
             )
         )
-    match_error = None
-    try:
-        result = match.run_matching(
-            a, path_solutions, d,
-            config=match.MatchConfig(delta=opts.delta),
+    result = match.run_matching(
+        a, path_solutions, d,
+        config=match.MatchConfig(delta=opts.delta),
+        ground_truth=ground_truth,
+    )
+    if exact_mixes is not None:
+        for j, row in enumerate(result.weights):
+            try:
+                model.GhMix(lambdas, row)
+            except ValueError as exc:
+                raise RuntimeError(
+                    f"exact-mode estimate of link {j} is not a valid mixture: {exc}"
+                ) from exc
+    return result, diagnostics
+
+
+def estimate_gh(
+    a: model.RoutingMatrix,
+    lambdas,
+    *,
+    samples=None,
+    exact_mixes: list[model.GhMix] | None = None,
+    options: EstimateOptions | None = None,
+    ground_truth=None,
+):
+    """Estimate every link's weight vector over the shared rates ``lambdas``.
+
+    With ``exact_mixes`` this is ``algebraic_gh``.  On ``samples`` alone it is
+    the binned likelihood fit from the uniform weights and random restarts,
+    which takes no ``tau`` or ``delta``, reports no per-path diagnostics and
+    a NaN ``delta``.  Returns (MatchResult, diagnostics).
+    """
+    if exact_mixes is not None:
+        return algebraic_gh(
+            a, lambdas, exact_mixes=exact_mixes, options=options,
             ground_truth=ground_truth,
         )
-    except match.AmbiguityError as exc:
-        if not polish:
-            raise
-        warnings.warn(
-            f"cross-path matching failed, so the likelihood fit starts from "
-            f"uniform and random weights only: {exc}",
-            stacklevel=2,
+    if samples is None:
+        raise ValueError("need either samples or exact_mixes")
+    opts = options or EstimateOptions()
+    if opts.tau is not None or opts.delta is not None:
+        raise ValueError(
+            "tau and delta apply to the algebraic estimator only (algebraic_gh, "
+            "or exact_mixes); the likelihood fit on samples uses neither"
         )
-        result, match_error = None, str(exc)
-    if not polish:
-        return result, diagnostics
+    _check_identifiable(a)
+    d = len(lambdas) - 1
     uniform = np.full((a.n_links, d), 1.0 / (d + 1))
-    inits = [uniform] if result is None else [result.weights[:, :d], uniform]
     w_free = _likelihood_polish(
-        a, lambdas, samples, inits,
+        a, lambdas, samples, [uniform],
         n_bins=_POLISH_BINS,
         seed=opts.solver_seed,
         n_starts=_POLISH_STARTS,
     )
     weights = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
-    if result is None:
-        sets = a.sets
-        provenance = tuple(
-            {
-                "link": j,
-                "paths": sorted(sets.link_paths[j]),
-                "refined": True,
-                "match_error": match_error,
-            }
-            for j in range(a.n_links)
-        )
-        result = match.MatchResult(
-            weights=weights,
-            provenance=provenance,
-            unmatched=(),
-            delta=float("nan"),
-        )
-    else:
-        provenance = tuple(
-            dict(p, refined=True) for p in result.provenance
-        )
-        result = replace(result, weights=weights, provenance=provenance)
+    error_norm = None
     if ground_truth is not None:
         truth = np.asarray(ground_truth, dtype=float)
-        result = replace(
-            result, error_norm=float(np.linalg.norm((weights - truth).ravel()))
-        )
-    return result, diagnostics
+        error_norm = float(np.linalg.norm((weights - truth).ravel()))
+    result = match.MatchResult(
+        weights=weights,
+        provenance=tuple(
+            {"link": j, "paths": sorted(g)} for j, g in enumerate(a.sets.link_paths)
+        ),
+        unmatched=(),
+        delta=float("nan"),
+        error_norm=error_norm,
+    )
+    return result, []
 
 
 def _default_mean_tau(n_i: int, mean_scale: float) -> tuple[float, ...]:

@@ -69,39 +69,6 @@ class SolutionSet:
         return [r.real.copy() for r in self.roots if np.abs(r.imag).max() < tol]
 
 
-class _SystemEvaluator:
-    """Joint value/Jacobian evaluation of E(x) - u via one monomial table."""
-
-    def __init__(self, system: EpsSystem):
-        self.n = len(system.polynomials)
-        self.nvars = system.nvars
-        self.rhs = np.asarray(system.rhs, dtype=complex)
-        mono_index: dict[tuple[int, ...], int] = {}
-        rows = []  # (row, exps, coeff) over F rows then Jacobian rows
-        for i, p in enumerate(system.polynomials):
-            for exps, c in p.terms.items():
-                rows.append((i, exps, complex(c)))
-            for v in range(self.nvars):
-                dp = p.derivative(v)
-                for exps, c in dp.terms.items():
-                    rows.append((self.n + i * self.nvars + v, exps, complex(c)))
-        for _, exps, _ in rows:
-            if exps not in mono_index:
-                mono_index[exps] = len(mono_index)
-        self.expmat = np.array(sorted(mono_index, key=mono_index.get), dtype=np.int64)
-        ncols = len(mono_index)
-        self.cmat = np.zeros((self.n * (1 + self.nvars), ncols), dtype=complex)
-        for row, exps, c in rows:
-            self.cmat[row, mono_index[exps]] += c
-
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mono = np.prod(x[None, :] ** self.expmat, axis=1)
-        out = self.cmat @ mono
-        f = out[: self.n] - self.rhs
-        jac = out[self.n:].reshape(self.n, self.nvars)
-        return f, jac
-
-
 def _start_points(degrees: tuple[int, ...]):
     """All combinations of roots of unity for the start system x_i^{d_i} = 1."""
     axes = [
@@ -194,7 +161,7 @@ def newton_refine(
     or the iterate blows up; flags the root as suspect when the Jacobian is
     numerically singular near it.
     """
-    ev = _SystemEvaluator(system)
+    ev = system.evaluator
     x = np.asarray(x0, dtype=complex).copy()
     suspect = False
     for it in range(max_iter):
@@ -238,7 +205,7 @@ def _dedup(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
 def solve_system(system: EpsSystem, config: SolveConfig | None = None) -> SolutionSet:
     """Find all isolated roots of E(x) = u by total-degree continuation."""
     cfg = config or SolveConfig()
-    ev = _SystemEvaluator(system)
+    ev = system.evaluator
     degrees = system.degrees()
     if any(deg < 1 for deg in degrees):
         raise ValueError("every polynomial must have degree >= 1")

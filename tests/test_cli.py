@@ -170,6 +170,20 @@ class TestEstimate:
         assert cli.main(argv) == 2
         assert "probe points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--tau", "0.5,1.0,2.0,4.0"], ["--delta", "0.1"]],
+        ids=["tau", "delta"],
+    )
+    def test_algebraic_options_on_samples_exit_2(self, topo_path, tmp_path, capsys, option):
+        samples = tmp_path / "s.csv"
+        cli.main(
+            ["simulate", "--topology", topo_path, "--L", "10", "--out", str(samples)]
+        )
+        argv = ["estimate", "--topology", topo_path, "--samples", str(samples), *option]
+        assert cli.main(argv) == 2
+        assert "algebraic estimator only" in capsys.readouterr().err
+
     def test_simulate_estimate_roundtrip(self, topo_path, tmp_path):
         samples = tmp_path / "rt.csv"
         cli.main(

@@ -18,7 +18,6 @@ from disttomo.model import (
     hypoexp_cdf,
     incidence_sets,
     is_one_identifiable,
-    warn_on_duplicate_weights,
 )
 
 TABLE1_RATES = (5.0, 3.0, 1.0)
@@ -242,14 +241,3 @@ class TestIncidenceSets:
                 for b in sets.off_paths[j]:
                     acc &= all_links - sets.path_links[b]
                 assert acc == frozenset({j})
-
-
-def test_duplicate_weight_warning():
-    mixes = [
-        GhMix(TABLE1_RATES, TABLE1_WEIGHTS[0]),
-        GhMix(TABLE1_RATES, TABLE1_WEIGHTS[0]),
-        GhMix(TABLE1_RATES, TABLE1_WEIGHTS[1]),
-    ]
-    with pytest.warns(UserWarning, match="identical weight vectors"):
-        dupes = warn_on_duplicate_weights(mixes)
-    assert dupes == [(0, 1)]

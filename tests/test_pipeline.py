@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disttomo import match, pipeline
+from disttomo import match, mgfest, pipeline, polysolve
 from disttomo.model import GhMix, RoutingMatrix
 from disttomo.simulate import sample_paths
 
@@ -9,23 +9,39 @@ EXPT1 = RoutingMatrix(((1, 1, 0), (1, 0, 1)))
 RATES = (5.0, 3.0, 1.0)
 WEIGHTS = ((0.17, 0.80, 0.03), (0.13, 0.47, 0.40), (0.80, 0.15, 0.05))
 TWIN_LINKS = RoutingMatrix(((1, 1), (1, 1)))
+ONE_LINK = RoutingMatrix(((1,),))
 
 
 def _fail_matching(*args, **kwargs):
     raise match.AmbiguityError("no radius separates the clouds")
 
 
-class TestMatchingFallback:
-    def test_failure_warns_and_lands_in_provenance(self, monkeypatch):
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the sampled likelihood fit ran an algebraic stage")
+
+
+class TestSampledLikelihoodFit:
+    def test_runs_no_algebraic_stage(self, monkeypatch):
         mixes = [GhMix(RATES, w) for w in WEIGHTS]
         samples = sample_paths(EXPT1, mixes, 20_000, seed=0).samples
-        monkeypatch.setattr(match, "run_matching", _fail_matching)
-        with pytest.warns(UserWarning, match="no radius separates the clouds"):
-            result, _ = pipeline.estimate_gh(EXPT1, RATES, samples=samples)
-        assert np.isnan(result.delta)
+        monkeypatch.setattr(polysolve, "solve_system", _forbidden)
+        monkeypatch.setattr(match, "run_matching", _forbidden)
+        monkeypatch.setattr(mgfest, "choose_tau", _forbidden)
+        result, diagnostics = pipeline.estimate_gh(EXPT1, RATES, samples=samples)
         assert np.allclose(result.weights.sum(axis=1), 1.0)
-        for prov in result.provenance:
-            assert prov["match_error"] == "no radius separates the clouds"
+        assert np.isnan(result.delta)
+        assert result.provenance[0] == {"link": 0, "paths": [0, 1]}
+        assert diagnostics == []
+
+
+class TestMatchingFallback:
+    """No estimator falls back when cross-path matching fails."""
+
+    def test_algebraic_on_samples_raises(self, monkeypatch):
+        samples = sample_paths(ONE_LINK, [GhMix(RATES, WEIGHTS[0])], 20_000, seed=0).samples
+        monkeypatch.setattr(match, "run_matching", _fail_matching)
+        with pytest.raises(match.AmbiguityError):
+            pipeline.algebraic_gh(ONE_LINK, RATES, samples=samples)
 
     def test_exact_mode_still_raises(self, monkeypatch):
         monkeypatch.setattr(match, "run_matching", _fail_matching)
@@ -33,6 +49,21 @@ class TestMatchingFallback:
             pipeline.estimate_gh(
                 EXPT1, RATES, exact_mixes=[GhMix(RATES, w) for w in WEIGHTS]
             )
+
+
+class TestExactMode:
+    def test_invalid_mixture_raises(self, monkeypatch):
+        def invalid_row(*args, **kwargs):
+            return match.MatchResult(
+                weights=np.array([[3.83, -2.84, 0.01]]),
+                provenance=({"link": 0, "paths": [0]},),
+                unmatched=(),
+                delta=1e-3,
+            )
+
+        monkeypatch.setattr(match, "run_matching", invalid_row)
+        with pytest.raises(RuntimeError, match="link 0 is not a valid mixture"):
+            pipeline.estimate_gh(ONE_LINK, RATES, exact_mixes=[GhMix(RATES, WEIGHTS[0])])
 
 
 class TestIdentifiability:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from disttomo import epsbuild
 from disttomo.epsbuild import assemble_system, build_eps, build_t_tau
 from disttomo.model import GhMix, gh_mgf
 from disttomo.polysolve import (
@@ -114,6 +115,21 @@ class TestSolveSystem:
         want = np.sort_complex(solve_univariate(coeffs))
         got = np.sort_complex(np.array([r[0] for r in sol.roots]))
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+    def test_one_evaluator_per_system(self, monkeypatch):
+        built = []
+
+        class Counting(epsbuild._SystemEvaluator):
+            def __init__(self, system):
+                built.append(1)
+                super().__init__(system)
+
+        monkeypatch.setattr(epsbuild, "_SystemEvaluator", Counting)
+        system = exact_system([(0.17, 0.80, 0.03), (0.13, 0.47, 0.40)])
+        sol = solve_system(system, SolveConfig(seed=0))
+        newton_refine(system, sol.roots[0])
+        system.residual(sol.roots[0])
+        assert len(built) == 1
 
 
 class TestNewtonRefine:
