@@ -221,7 +221,6 @@ def _gh_report(result, diags, args):
             }
             for j in range(result.weights.shape[0])
         ],
-        "unmatched": list(result.unmatched),
     }
     if result.error_norm is not None:
         report["error_norm"] = result.error_norm
@@ -296,7 +295,6 @@ def cmd_estimate(args) -> int:
                 }
                 for j in range(len(means))
             ],
-            "unmatched": list(result.unmatched),
             "L": None if exact else int(samples[0].size),
             "exact_mgf": exact,
         }
@@ -385,7 +383,6 @@ def main(argv=None) -> int:
     except (
         match.AmbiguityError,
         match.MatchingError,
-        match.ClusteringError,
         mgfest.TauSelectionError,
         np.linalg.LinAlgError,
         RuntimeError,

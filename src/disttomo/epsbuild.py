@@ -272,21 +272,15 @@ def build_eps(n_i: int, d: int, lambdas) -> list[SparsePoly]:
         raise ValueError("n_i and d must be >= 1")
     if len(lambdas) != d + 1:
         raise ValueError(f"need {d + 1} rates, got {len(lambdas)}")
-    last = lambdas[-1]
     polys = [SparsePoly(d * n_i) for _ in range(d * n_i)]
     for comp in enumerate_compositions(d + 1, n_i):
         if not comp.support():
             continue  # pure-constant term, absorbed into c(t)
         g = g_poly(comp, n_i, d)
-        l_last = comp.parts[-1]
-        for k in comp.support():
-            for q in range(1, comp.parts[k - 1] + 1):
-                coeff = gamma_coeff(k, q, comp, lambdas) / last ** (n_i - q - l_last)
-                if coeff == 0:
-                    continue
-                target = polys[(k - 1) * n_i + (q - 1)]
-                for exps, c in g.terms.items():
-                    target.add_term(exps, c * coeff)
+        for k, q, coeff in expand_lambda_power(comp, n_i, lambdas):
+            target = polys[(k - 1) * n_i + (q - 1)]
+            for exps, c in g.terms.items():
+                target.add_term(exps, c * coeff)
     return polys
 
 
@@ -329,19 +323,16 @@ def build_t_tau(tau, n_i: int, d: int, lambdas, cond_limit: float = DEFAULT_COND
 
 @dataclass(frozen=True)
 class EpsSystem:
-    """A square polynomial system E(x) = u with its provenance.
+    """A square polynomial system E(x) = u of one path.
 
     ``rhs`` is obtained by a linear solve against the evaluation matrix,
     never by explicit inversion.
     """
 
     polynomials: tuple[SparsePoly, ...]
-    t_matrix: np.ndarray | None
     rhs: np.ndarray
     n_i: int
     d: int
-    lambdas: tuple[float, ...] | None = None
-    path_id: int | None = None
 
     @property
     def nvars(self) -> int:
@@ -400,23 +391,13 @@ def assemble_system(
     *,
     n_i: int,
     d: int,
-    lambdas=None,
-    path_id: int | None = None,
 ) -> EpsSystem:
     """Pair the polynomial map with the right-hand side solved from c_hat."""
     c_hat = np.asarray(c_hat, dtype=float)
     if t_tau.shape != (len(polys), len(polys)) or c_hat.shape != (len(polys),):
         raise ValueError("dimension mismatch between polynomials, matrix and constants")
     rhs = np.linalg.solve(t_tau, c_hat)
-    return EpsSystem(
-        polynomials=tuple(polys),
-        t_matrix=t_tau,
-        rhs=rhs,
-        n_i=n_i,
-        d=d,
-        lambdas=None if lambdas is None else tuple(float(v) for v in lambdas),
-        path_id=path_id,
-    )
+    return EpsSystem(polynomials=tuple(polys), rhs=rhs, n_i=n_i, d=d)
 
 
 def canonical_poly_value(x, t: float, n_i: int, d: int, lambdas, mu_t: float) -> complex:

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .epsbuild import EpsSystem, SparsePoly
-from .match import MatchConfig, PathSolutions, run_matching
+from .match import PathSolutions, run_matching
 from .mgfest import empirical_mgf
 from .model import RoutingMatrix
 
@@ -36,11 +36,10 @@ _IMAG_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MeanSystem:
-    """Vandermonde-solved elementary symmetric values of one path's means."""
+    """Vandermonde-solved elementary symmetric values of one path's means,
+    from the MGF at the probe points ``tau``."""
 
     tau: tuple[float, ...]
-    vandermonde: np.ndarray
-    c_vec: tuple[float, ...]
     esp: tuple[float, ...]
 
     @property
@@ -52,26 +51,21 @@ def build_mean_system(
     tau,
     n_i: int,
     samples=None,
-    mgf_values=None,
     exact_mgf=None,
 ) -> MeanSystem:
     """Invert the path MGF at the probe points and solve for the symmetric
     functions of the link means.
 
-    Exactly one of ``samples``, ``mgf_values`` or ``exact_mgf`` must be
-    given.  Raises when an MGF value is zero (reciprocal blow-up; choose a
-    smaller probe point).
+    Exactly one of ``samples`` or ``exact_mgf`` must be given.  Raises when
+    an MGF value is zero (reciprocal blow-up; choose a smaller probe point).
     """
     tau = tuple(float(t) for t in tau)
     if len(tau) != n_i or len(set(tau)) != n_i or any(t <= 0 for t in tau):
         raise ValueError(f"need {n_i} distinct strictly positive probe points")
-    sources = [samples is not None, mgf_values is not None, exact_mgf is not None]
-    if sum(sources) != 1:
-        raise ValueError("give exactly one of samples, mgf_values, exact_mgf")
+    if (samples is None) == (exact_mgf is None):
+        raise ValueError("give exactly one of samples, exact_mgf")
     if samples is not None:
         mgf = [empirical_mgf(samples, t) for t in tau]
-    elif mgf_values is not None:
-        mgf = [float(v) for v in mgf_values]
     else:
         mgf = [float(exact_mgf(t)) for t in tau]
     if any(not (0.0 < v <= 1.0 + 1e-12) for v in mgf):
@@ -81,12 +75,10 @@ def build_mean_system(
     c = [1.0 / v for v in mgf]
     vand = np.array([[t ** k for k in range(1, n_i + 1)] for t in tau])
     esp = np.linalg.solve(vand, np.asarray(c) - 1.0)
-    return MeanSystem(
-        tau=tau, vandermonde=vand, c_vec=tuple(c), esp=tuple(float(e) for e in esp)
-    )
+    return MeanSystem(tau=tau, esp=tuple(float(e) for e in esp))
 
 
-def solve_means(system: MeanSystem, imag_tol: float = _IMAG_TOL):
+def solve_means(system: MeanSystem):
     """Recover the path's link means as roots of the monic Vieta polynomial.
 
     Returns (means, degenerate_flag); complex root pairs beyond the
@@ -100,7 +92,7 @@ def solve_means(system: MeanSystem, imag_tol: float = _IMAG_TOL):
     for k in range(1, n + 1):
         coeffs[k] = (-1.0) ** k * system.esp[k - 1]
     roots = np.roots(coeffs)
-    flagged = bool(np.abs(roots.imag).max(initial=0.0) > imag_tol)
+    flagged = bool(np.abs(roots.imag).max(initial=0.0) > _IMAG_TOL)
     if flagged:
         warnings.warn(
             "complex mean estimates truncated to real parts; data too noisy "
@@ -139,7 +131,6 @@ def mean_system_as_eps(system: MeanSystem) -> EpsSystem:
     n = system.n_links
     return EpsSystem(
         polynomials=tuple(elementary_symmetric_polys(n)),
-        t_matrix=system.vandermonde,
         rhs=np.asarray(system.esp, dtype=float),
         n_i=n,
         d=1,
@@ -149,13 +140,14 @@ def mean_system_as_eps(system: MeanSystem) -> EpsSystem:
 def match_means(
     a: RoutingMatrix,
     path_means: dict[int, np.ndarray],
-    config: MatchConfig | None = None,
+    delta: float | None = None,
     ground_truth=None,
 ):
     """Assign one mean per link by the same intersection rule as the
     weight-vector case, clustering scalar means across paths.
 
-    ``path_means`` maps path index to the solved means of that path.
+    ``path_means`` maps path index to the solved means of that path;
+    ``delta`` is the clustering radius, None choosing it automatically.
     Returns (means array of length N, MatchResult).
     """
     path_solutions = {}
@@ -175,7 +167,7 @@ def match_means(
         path_solutions[i] = PathSolutions(
             path_id=i, links=links, reduced=vectors, root_blocks=roots
         )
-    result = run_matching(a, path_solutions, d=1, config=config, ground_truth=None)
+    result = run_matching(a, path_solutions, d=1, delta=delta, ground_truth=None)
     means = result.weights[:, 0].copy()
     if ground_truth is not None:
         error_norm = float(

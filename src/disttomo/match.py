@@ -8,6 +8,10 @@ cluster present in the solution cloud of every path through it and absent
 from every other path's cloud.  Links crossed by a single path are resolved
 in a second stage by completing the already-assigned vectors of that path
 against its full root list.
+
+``run_matching`` takes the radius as a plain ``delta``: a given radius is
+halved on failure, and ``None`` tries multiples of the smallest cross-path
+distance between solution vectors (``auto_delta``).
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ import numpy as np
 from .model import RoutingMatrix
 
 __all__ = [
-    "MatchConfig",
     "MatchResult",
     "EquivClass",
     "PathSolutions",
-    "ClusteringError",
     "AmbiguityError",
     "MatchingError",
     "cluster",
@@ -34,10 +36,6 @@ __all__ = [
     "run_matching",
     "auto_delta",
 ]
-
-
-class ClusteringError(RuntimeError):
-    """No radius made the threshold relation an equivalence relation."""
 
 
 class AmbiguityError(RuntimeError):
@@ -53,18 +51,6 @@ class MatchingError(RuntimeError):
 _SHRINK = 0.5
 _MAX_RETRIES = 40
 _AUTO_MULTIPLIERS = (0.55, 0.75, 1.0, 0.45, 0.35, 0.25, 0.15)
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Clustering radius policy.
-
-    ``delta`` of None selects the radius automatically from the smallest
-    cross-path nearest-neighbor distance, trying a ladder of multiples of
-    it; an explicit radius is shrunk geometrically on failure.
-    """
-
-    delta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -101,27 +87,19 @@ class MatchResult:
 
     weights: np.ndarray  # (N, d+1), last entry reconstituted
     provenance: tuple[dict, ...]
-    unmatched: tuple[int, ...]
     delta: float
     error_norm: float | None = None
 
 
 def cluster(
-    points: list[tuple[np.ndarray, int]],
-    delta: float,
-    strict: bool = False,
-    shrink: float = _SHRINK,
-    max_retries: int = _MAX_RETRIES,
-) -> tuple[list[EquivClass], float]:
+    points: list[tuple[np.ndarray, int]], delta: float
+) -> list[EquivClass]:
     """Partition labeled vectors into connected components of the 2*delta graph.
 
-    In strict mode the components must satisfy the pairwise condition (all
-    members within 2*delta of each other); non-transitive components shrink
-    the radius and retry, and exhausted retries raise with the offending
-    near-pairs.  Non-strict mode accepts the components as they are, which
-    tolerates estimate chains whose end-to-end spread exceeds 2*delta.
-    Returns the classes (in a canonical order independent of input order)
-    and the radius actually used.
+    Components are taken as they are, without the pairwise condition (all
+    members within 2*delta of each other), which tolerates estimate chains
+    whose end-to-end spread exceeds 2*delta.  Returns the classes in a
+    canonical order independent of input order.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -129,51 +107,35 @@ def cluster(
     vecs = [np.asarray(points[i][0], dtype=float) for i in order]
     labels = [points[i][1] for i in order]
     n = len(vecs)
-    for _ in range(max_retries + 1):
-        parent = list(range(n))
+    parent = list(range(n))
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-        bad_pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.linalg.norm(vecs[i] - vecs[j]) < 2 * delta:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        comps: dict[int, list[int]] = {}
-        for i in range(n):
-            comps.setdefault(find(i), []).append(i)
-        if strict:
-            for comp in comps.values():
-                for a in range(len(comp)):
-                    for b in range(a + 1, len(comp)):
-                        i, j = comp[a], comp[b]
-                        if np.linalg.norm(vecs[i] - vecs[j]) >= 2 * delta:
-                            bad_pairs.append((vecs[i], vecs[j]))
-            if bad_pairs:
-                delta *= shrink
-                continue
-        classes = []
-        for comp in comps.values():
-            members = tuple(vecs[i] for i in comp)
-            classes.append(
-                EquivClass(
-                    members=members,
-                    paths=frozenset(labels[i] for i in comp),
-                    value=np.mean(members, axis=0),
-                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.linalg.norm(vecs[i] - vecs[j]) < 2 * delta:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    comps: dict[int, list[int]] = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    classes = []
+    for comp in comps.values():
+        members = tuple(vecs[i] for i in comp)
+        classes.append(
+            EquivClass(
+                members=members,
+                paths=frozenset(labels[i] for i in comp),
+                value=np.mean(members, axis=0),
             )
-        classes.sort(key=lambda c: tuple(c.value))
-        return classes, delta
-    raise ClusteringError(
-        f"threshold relation never became transitive; offending near-pairs: "
-        f"{[(a.tolist(), b.tolist()) for a, b in bad_pairs[:5]]}"
-    )
+        )
+    classes.sort(key=lambda c: tuple(c.value))
+    return classes
 
 
 def psi_stage1(
@@ -281,7 +243,6 @@ def finalize(
     d: int,
     delta: float,
     ground_truth: np.ndarray | None = None,
-    unmatched: tuple[int, ...] = (),
 ) -> MatchResult:
     """Reconstitute full weight vectors and, optionally, the error norm.
 
@@ -313,7 +274,6 @@ def finalize(
     return MatchResult(
         weights=weights,
         provenance=tuple(provenance),
-        unmatched=tuple(unmatched),
         delta=delta,
         error_norm=error_norm,
     )
@@ -339,36 +299,36 @@ def run_matching(
     a: RoutingMatrix,
     path_solutions: dict[int, PathSolutions],
     d: int,
-    config: MatchConfig | None = None,
+    delta: float | None = None,
     ground_truth: np.ndarray | None = None,
 ) -> MatchResult:
     """Cluster all paths' solutions and assign one weight vector per link.
 
-    With an automatic radius, a ladder of multiples of the cross-path
-    noise scale is tried until both assignment stages succeed; an explicit
-    radius is shrunk on failure.
+    ``delta`` of None selects the radius automatically: a ladder of
+    multiples of the cross-path noise scale (``auto_delta``) is tried until
+    both assignment stages succeed.  An explicit radius is shrunk
+    geometrically on failure instead.
     """
-    cfg = config or MatchConfig()
     points = [
         (vec, pid)
         for pid, sol in sorted(path_solutions.items())
         for vec in sol.reduced
     ]
-    if cfg.delta is not None:
-        deltas = [cfg.delta * _SHRINK**k for k in range(_MAX_RETRIES + 1)]
+    if delta is not None:
+        deltas = [delta * _SHRINK**k for k in range(_MAX_RETRIES + 1)]
     else:
         base = auto_delta(path_solutions)
         if not np.isfinite(base):
             base = 1e-8  # single-path setups have no cross-path scale
         deltas = [max(m * base, 1e-9) for m in _AUTO_MULTIPLIERS]
     last_error: Exception | None = None
-    for delta in deltas:
+    for radius in deltas:
         try:
-            classes, used = cluster(points, delta)
+            classes = cluster(points, radius)
             stage1 = psi_stage1(classes, a)
-            full = psi_stage2(stage1, classes, path_solutions, a, used)
-            return finalize(full, classes, d, used, ground_truth=ground_truth)
-        except (ClusteringError, AmbiguityError, MatchingError) as exc:
+            full = psi_stage2(stage1, classes, path_solutions, a, radius)
+            return finalize(full, classes, d, radius, ground_truth=ground_truth)
+        except (AmbiguityError, MatchingError) as exc:
             last_error = exc
     raise AmbiguityError(
         f"matching failed for every clustering radius tried: {last_error}"

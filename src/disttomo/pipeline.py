@@ -28,9 +28,6 @@ __all__ = [
 # into a complex conjugate pair whose real part still estimates the pair well.
 _NEAR_REAL_TOL_EXACT = 1e-6
 _NEAR_REAL_TOL_SAMPLED = 0.35
-# Quantile bins per path and Dirichlet restarts of the likelihood polish.
-_POLISH_BINS = 1000
-_POLISH_STARTS = 16
 
 
 @dataclass(frozen=True)
@@ -62,26 +59,19 @@ def _check_identifiable(a: model.RoutingMatrix) -> None:
         raise ValueError(f"routing matrix is not 1-identifiable: {'; '.join(reasons)}")
 
 
-def _likelihood_polish(
-    a: model.RoutingMatrix,
-    lambdas,
-    samples,
-    inits: list[np.ndarray],
-    n_bins: int,
-    seed: int = 0,
-    n_starts: int = 0,
-) -> np.ndarray:
+def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> np.ndarray:
     """Binned maximum-likelihood fit of the (N, d) free-weight matrix.
 
     Each path's delay is a mixture over stage assignments of hypoexponential
-    distributions, so the probability of every quantile bin is a multilinear
-    form in the link weight vectors; the bin-count log likelihood is then
-    maximized jointly over all links, starting from each candidate in
-    ``inits`` plus ``n_starts`` Dirichlet draws, and the best-likelihood fit
-    is returned.  This squeezes the full per-sample information out of the
-    data, unlike the handful of MGF evaluations the polynomial stage
-    consumes.  The random restarts matter: a single start can settle in a
-    spurious basin that the likelihood ranks below the genuine one.
+    distributions, so the probability of every one of its 1000 quantile
+    bins is a multilinear form in the link weight vectors; the bin-count log
+    likelihood is then maximized jointly over all links, starting from the
+    uniform weights and from 16 Dirichlet draws seeded by ``seed``, and the
+    best-likelihood fit is returned.  This squeezes the full per-sample
+    information out of the data, unlike the handful of MGF evaluations the
+    polynomial stage consumes.  The random restarts matter: a single start
+    can settle in a spurious basin that the likelihood ranks below the
+    genuine one.
 
     Bin probabilities are floored at 1e-12 (with the gradient masked there)
     so a handful of tail outliers the rate model cannot explain contribute
@@ -91,6 +81,7 @@ def _likelihood_polish(
     are not valid distributions can otherwise chase model mismatch to
     arbitrarily wild fits.
     """
+    n_bins, n_starts = 1000, 16
     lam = np.asarray(lambdas, dtype=float)
     d = lam.size - 1
     n = a.n_links
@@ -100,16 +91,17 @@ def _likelihood_polish(
     paths = []
     for i in range(a.n_paths):
         links = sorted(a.path_links(i))
-        y = np.asarray(samples[i], dtype=float)
+        y = np.sort(np.asarray(samples[i], dtype=float))
         edges = np.unique(np.quantile(y, np.linspace(0.0, 1.0, n_bins + 1))[:-1])
         edges[0] = 0.0
-        counts, _ = np.histogram(y, bins=np.append(edges, np.inf))
+        counts = np.diff(np.append(np.searchsorted(y, edges), y.size))
         shape = (d + 1,) * len(links)
         table = np.empty(shape + (len(edges),))
         for assign in product(range(d + 1), repeat=len(links)):
             cdf = model.hypoexp_cdf([lam[s] for s in assign], edges)
             table[assign] = np.diff(np.append(cdf, 1.0))
         paths.append((links, counts.astype(float), table))
+    del y  # the last sorted copy need not live through the fit
 
     def nll_and_grad(x):
         w_free = x.reshape(n, d)
@@ -143,7 +135,7 @@ def _likelihood_polish(
         return total, g_free.ravel()
 
     rng = np.random.default_rng(seed)
-    starts = list(inits) + [
+    starts = [np.full((n, d), 1.0 / (d + 1))] + [
         rng.dirichlet(np.ones(d + 1), size=n)[:, :d] for _ in range(n_starts)
     ]
     best_x, best_val = None, np.inf
@@ -189,7 +181,6 @@ def algebraic_gh(
     diagnostics: list[PathDiagnostics] = []
     eps_cache: dict[int, list[epsbuild.SparsePoly]] = {}
     near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact_mixes is None else _NEAR_REAL_TOL_EXACT
-    solve_cfg = polysolve.SolveConfig(seed=opts.solver_seed, near_real_tol=near_real_tol)
     for i in range(a.n_paths):
         links = tuple(sorted(a.path_links(i)))
         n_i = len(links)
@@ -210,31 +201,26 @@ def algebraic_gh(
         if n_i not in eps_cache:
             eps_cache[n_i] = epsbuild.build_eps(n_i, d, lambdas)
         t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
-        system = epsbuild.assemble_system(
-            eps_cache[n_i], t_tau, probe.c_hat,
-            n_i=n_i, d=d, lambdas=lambdas, path_id=i,
-        )
-        sol = polysolve.solve_system(system, solve_cfg)
-        real_roots = sol.real_roots(solve_cfg.near_real_tol)
+        system = epsbuild.assemble_system(eps_cache[n_i], t_tau, probe.c_hat, n_i=n_i, d=d)
+        sol = polysolve.solve_system(system, seed=opts.solver_seed)
+        reduced = polysolve.reduce_first_components(sol.roots, d, near_real_tol=near_real_tol)
         path_solutions[i] = match.PathSolutions(
             path_id=i,
             links=links,
-            reduced=sol.reduced,
-            root_blocks=tuple(_blocks(r, n_i, d) for r in real_roots),
+            reduced=tuple(reduced),
+            root_blocks=tuple(_blocks(r, n_i, d) for r in sol.real_roots(near_real_tol)),
         )
         diagnostics.append(
             PathDiagnostics(
                 path_id=i,
                 tau=tau,
                 n_roots=sol.n_roots,
-                n_reduced=len(sol.reduced),
+                n_reduced=len(reduced),
                 n_path_failures=sol.n_path_failures,
             )
         )
     result = match.run_matching(
-        a, path_solutions, d,
-        config=match.MatchConfig(delta=opts.delta),
-        ground_truth=ground_truth,
+        a, path_solutions, d, delta=opts.delta, ground_truth=ground_truth
     )
     if exact_mixes is not None:
         for j, row in enumerate(result.weights):
@@ -277,14 +263,7 @@ def estimate_gh(
             "or exact_mixes); the likelihood fit on samples uses neither"
         )
     _check_identifiable(a)
-    d = len(lambdas) - 1
-    uniform = np.full((a.n_links, d), 1.0 / (d + 1))
-    w_free = _likelihood_polish(
-        a, lambdas, samples, [uniform],
-        n_bins=_POLISH_BINS,
-        seed=opts.solver_seed,
-        n_starts=_POLISH_STARTS,
-    )
+    w_free = _likelihood_polish(a, lambdas, samples, opts.solver_seed)
     weights = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
     error_norm = None
     if ground_truth is not None:
@@ -295,7 +274,6 @@ def estimate_gh(
         provenance=tuple(
             {"link": j, "paths": sorted(g)} for j, g in enumerate(a.sets.link_paths)
         ),
-        unmatched=(),
         delta=float("nan"),
         error_norm=error_norm,
     )
@@ -358,8 +336,6 @@ def estimate_exp(
             )
         )
     means, result = expmeans.match_means(
-        a, path_means,
-        config=match.MatchConfig(delta=opts.delta),
-        ground_truth=ground_truth,
+        a, path_means, delta=opts.delta, ground_truth=ground_truth
     )
     return means, result, diagnostics

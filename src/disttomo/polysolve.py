@@ -6,8 +6,9 @@ into the target system with a random complex gamma, and track every
 Bezout path with an Euler predictor plus a short Newton corrector.
 Endpoints are Newton-polished against the target system and deduplicated.
 Systems here are small (a handful of variables, Bezout counts in the tens),
-so no projective endgame is used; paths collapsing near the end are counted
-as failures and the generically-nonsingular solutions survive.
+so no projective endgame is used: a path whose step collapses near the end
+is Newton-polished from where it stopped, kept when that converges and
+counted as diverging when it does not.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .epsbuild import EpsSystem
 
 __all__ = [
-    "SolveConfig",
     "SolutionSet",
     "solve_system",
     "newton_refine",
@@ -36,27 +36,22 @@ _MAX_STEP = 0.1
 _MIN_STEP = 1e-6
 _CORRECTOR_STEPS = 3
 _BLOWUP = 1e8
-# Endpoint polish, deduplication radius, and the share of failed paths
-# (not counting divergent ones) above which a solve warns.
+# Endpoint polish, the Jacobian condition number above which a root is
+# flagged suspect, deduplication radius, and the share of failed paths (not
+# counting divergent ones) above which a solve warns.
 _REFINE_TOL = 1e-10
 _REFINE_MAX_ITER = 50
+_SINGULAR_COND = 1e12
 _DEDUP_TOL = 1e-6
 _FAILURE_WARN_FRAC = 0.05
 
 
 @dataclass(frozen=True)
-class SolveConfig:
-    seed: int = 0
-    near_real_tol: float = 1e-6
-
-
-@dataclass(frozen=True)
 class SolutionSet:
-    """Deduplicated roots of one system plus their first-block reduction."""
+    """Deduplicated roots of one system."""
 
     roots: tuple[np.ndarray, ...]
     residuals: tuple[float, ...]
-    reduced: tuple[np.ndarray, ...]
     n_path_failures: int
     n_paths: int
 
@@ -82,8 +77,9 @@ def _track_path(ev, degrees, gamma, x0):
     """Track one path of the blended homotopy from s=0 to s=1.
 
     Returns ("root", x), ("infinity", None) for a path escaping to infinity
-    (expected whenever the root count is below the Bezout bound), or
-    ("failed", None) for a genuine tracking failure (step collapse).
+    (expected whenever the root count is below the Bezout bound),
+    ("collapsed", x) for a step collapse near the end, or ("failed", None)
+    for a genuine tracking failure (step collapse away from the end).
     """
     degs = np.asarray(degrees, dtype=float)
     x = x0.astype(complex)
@@ -132,10 +128,11 @@ def _track_path(ev, degrees, gamma, x0):
         else:
             step *= 0.5
             if step < _MIN_STEP:
-                # Step collapse near the end usually means the path escapes
-                # to infinity as s -> 1; treat it as failure only away from
-                # the endpoint.
-                return ("infinity", None) if s > 0.99 else ("failed", None)
+                # Step collapse near the end means either a path escaping to
+                # infinity as s -> 1 or a finite root the predictor cannot
+                # reach; the caller polishes the iterate to tell them apart.
+                # Away from the end it is a tracking failure.
+                return ("collapsed", x) if s > 0.99 else ("failed", None)
     return "root", x
 
 
@@ -145,15 +142,10 @@ class NewtonResult:
     residual: float
     converged: bool
     suspect: bool
-    iterations: int
 
 
 def newton_refine(
-    system: EpsSystem,
-    x0,
-    tol: float = 1e-10,
-    max_iter: int = 30,
-    singular_cond: float = 1e12,
+    system: EpsSystem, x0, tol: float = 1e-10, max_iter: int = 30
 ) -> NewtonResult:
     """Newton-polish a candidate root of E(x) = u.
 
@@ -164,15 +156,15 @@ def newton_refine(
     ev = system.evaluator
     x = np.asarray(x0, dtype=complex).copy()
     suspect = False
-    for it in range(max_iter):
+    for _ in range(max_iter):
         fval, jac = ev(x)
         res = float(np.linalg.norm(fval))
         if res < tol:
-            if np.linalg.cond(jac) > singular_cond:
+            if np.linalg.cond(jac) > _SINGULAR_COND:
                 suspect = True
-            return NewtonResult(x, res, True, suspect, it)
+            return NewtonResult(x, res, True, suspect)
         try:
-            if np.linalg.cond(jac) > singular_cond:
+            if np.linalg.cond(jac) > _SINGULAR_COND:
                 suspect = True
                 break
             delta = np.linalg.solve(jac, -fval)
@@ -183,7 +175,7 @@ def newton_refine(
         if np.linalg.norm(x) > 1e12:
             break
     fval, _ = ev(x)
-    return NewtonResult(x, float(np.linalg.norm(fval)), False, suspect, max_iter)
+    return NewtonResult(x, float(np.linalg.norm(fval)), False, suspect)
 
 
 def _dedup(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
@@ -202,14 +194,16 @@ def _dedup(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return kept
 
 
-def solve_system(system: EpsSystem, config: SolveConfig | None = None) -> SolutionSet:
-    """Find all isolated roots of E(x) = u by total-degree continuation."""
-    cfg = config or SolveConfig()
+def solve_system(system: EpsSystem, seed: int = 0) -> SolutionSet:
+    """Find all isolated roots of E(x) = u by total-degree continuation.
+
+    ``seed`` draws the random gamma of the homotopy.
+    """
     ev = system.evaluator
     degrees = system.degrees()
     if any(deg < 1 for deg in degrees):
         raise ValueError("every polynomial must have degree >= 1")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     gamma = np.exp(2j * np.pi * rng.random())
     starts = _start_points(degrees)
     endpoints = []
@@ -224,14 +218,15 @@ def solve_system(system: EpsSystem, config: SolveConfig | None = None) -> Soluti
             failures += 1
             continue
         ref = newton_refine(system, x_end, tol=_REFINE_TOL, max_iter=_REFINE_MAX_ITER)
-        if ref.converged and not ref.suspect:
+        if ref.converged:
+            if ref.suspect:
+                warnings.warn(
+                    "root with near-singular Jacobian flagged suspect and kept",
+                    stacklevel=2,
+                )
             endpoints.append((ref.point, ref.residual))
-        elif ref.converged and ref.suspect:
-            warnings.warn(
-                "root with near-singular Jacobian flagged suspect and kept",
-                stacklevel=2,
-            )
-            endpoints.append((ref.point, ref.residual))
+        elif tag == "collapsed":
+            diverged += 1
         else:
             failures += 1
     if not endpoints:
@@ -251,23 +246,16 @@ def solve_system(system: EpsSystem, config: SolveConfig | None = None) -> Soluti
         res = float(np.linalg.norm(ev(p)[0]))
         roots.append(p)
         residuals.append(res)
-    reduced = reduce_first_components(
-        roots, system.d, dedup_tol=_DEDUP_TOL, near_real_tol=cfg.near_real_tol
-    )
     return SolutionSet(
         roots=tuple(roots),
         residuals=tuple(residuals),
-        reduced=tuple(reduced),
         n_path_failures=failures,
         n_paths=len(starts),
     )
 
 
 def reduce_first_components(
-    roots,
-    d: int,
-    dedup_tol: float = _DEDUP_TOL,
-    near_real_tol: float = 1e-6,
+    roots, d: int, near_real_tol: float = 1e-6
 ) -> list[np.ndarray]:
     """Distinct first-block components of the roots, near-real ones only.
 
@@ -279,7 +267,7 @@ def reduce_first_components(
         alpha = np.asarray(r)[:d]
         if np.abs(alpha.imag).max() < near_real_tol:
             firsts.append(alpha.real.copy())
-    return _dedup(firsts, dedup_tol)
+    return _dedup(firsts, _DEDUP_TOL)
 
 
 def solve_univariate(coeffs, refine_tol: float = 1e-12) -> np.ndarray:

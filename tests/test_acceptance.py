@@ -32,7 +32,7 @@ from disttomo.mgfest import (
     required_samples,
 )
 from disttomo.model import GhMix, RoutingMatrix, gh_mgf
-from disttomo.polysolve import SolveConfig, reduce_first_components, solve_system
+from disttomo.polysolve import reduce_first_components, solve_system
 from disttomo.simulate import sample_mix, sample_paths
 
 SEEDS = range(20)
@@ -60,7 +60,7 @@ def _exact_eps_system(weights_per_link, tau, rates):
     ]
     polys = build_eps(n_i, d, rates)
     t_mat = build_t_tau(tau, n_i, d, rates)
-    return assemble_system(polys, t_mat, c, n_i=n_i, d=d, lambdas=rates)
+    return assemble_system(polys, t_mat, c, n_i=n_i, d=d)
 
 
 def _random_instance(rng, max_n=4, max_d=3):
@@ -105,7 +105,7 @@ def test_acceptance_2_benchmark_solution_table():
     system = _exact_eps_system(
         [(0.17, 0.80, 0.03), (0.13, 0.47, 0.40)], tau, (5.0, 3.0, 1.0)
     )
-    sol = solve_system(system, SolveConfig(seed=0))
+    sol = solve_system(system, seed=0)
     reduced = reduce_first_components(sol.roots, d=2)
     elapsed = time.perf_counter() - start
     ok = len(reduced) == 6 and elapsed < 5.0
@@ -234,7 +234,7 @@ def test_acceptance_8_symmetry_and_root_structure():
                 break
             except np.linalg.LinAlgError:
                 continue  # ill-conditioned probe draw; redraw tau
-        sol = solve_system(system, SolveConfig(seed=0))
+        sol = solve_system(system, seed=0)
         counts_ok = counts_ok and sol.n_roots % math.factorial(n_i) == 0
     ok = sym_worst < 1e-12 and counts_ok
     _report(
@@ -283,7 +283,7 @@ def test_acceptance_9_exponential_means_variant():
             tau, n_i,
             exact_mgf=lambda t: math.prod(1.0 / (1.0 + t * m) for m in truth),
         )
-        sol = solve_system(mean_system_as_eps(system), SolveConfig(seed=0))
+        sol = solve_system(mean_system_as_eps(system), seed=0)
         roots = sorted(tuple(np.round(r.real, 7)) for r in sol.roots)
         expected = sorted(set(tuple(np.round(p, 7)) for p in permutations(truth)))
         equivalent = equivalent and roots == expected

@@ -200,6 +200,29 @@ class TestEstimate:
         assert report["L"] == 200000
         assert report["error_norm"] < 0.25
 
+    def test_exp_model_explicit_delta(self, tmp_path):
+        topo = tmp_path / "exp4.json"
+        topo.write_text(json.dumps({
+            "matrix": [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
+            "means": [0.4, 1.0, 2.5, 4.0],
+        }))
+        samples = tmp_path / "exp4.csv"
+        common = ["--topology", str(topo), "--model", "exp"]
+        assert cli.main(
+            ["simulate", *common, "--L", "20000", "--seed", "0", "--out", str(samples)]
+        ) == 0
+        out = tmp_path / "exp4_report.json"
+        argv = [
+            "estimate", *common, "--samples", str(samples),
+            "--delta", "0.05", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["delta"] == 0.05
+        means = [link["mean"] for link in report["links"]]
+        assert len(means) == 4 and np.isfinite(means).all()
+        assert report["error_norm"] < 0.1
+
 
 class TestExperiment:
     def test_exact_mode_table(self, capsys, tmp_path):

@@ -236,7 +236,7 @@ class TestAssembleSystem:
         for tau in [(1.9857, 2.3782, 0.3581, 8.8619), (0.5, 1.1, 2.3, 4.9)]:
             t_mat = build_t_tau(tau, 2, 2, RATES)
             c = self.exact_probe(mixes, tau, 2)
-            system = assemble_system(polys, t_mat, c, n_i=2, d=2, lambdas=RATES)
+            system = assemble_system(polys, t_mat, c, n_i=2, d=2)
             rhs.append(system.rhs)
         np.testing.assert_allclose(rhs[0], rhs[1], rtol=1e-9, atol=1e-11)
 
@@ -249,7 +249,7 @@ class TestAssembleSystem:
         tau = (1.9857, 2.3782, 0.3581, 8.8619)
         t_mat = build_t_tau(tau, 2, 2, RATES)
         system = assemble_system(
-            polys, t_mat, self.exact_probe(mixes, tau, 2), n_i=2, d=2, lambdas=RATES
+            polys, t_mat, self.exact_probe(mixes, tau, 2), n_i=2, d=2
         )
         x_true = np.array([0.17, 0.80, 0.13, 0.47])
         assert np.abs(system.residual(x_true)).max() < 1e-10

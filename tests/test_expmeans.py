@@ -12,7 +12,7 @@ from disttomo.expmeans import (
     solve_means,
 )
 from disttomo.model import GhMix, RoutingMatrix
-from disttomo.polysolve import SolveConfig, solve_system
+from disttomo.polysolve import solve_system
 from disttomo.simulate import sample_paths
 
 EXPT1 = RoutingMatrix(((1, 1, 0), (1, 0, 1)))
@@ -106,7 +106,7 @@ class TestMultivariateEquivalence:
                 tau, n_i, exact_mgf=exact_mgf_for_means(truth)
             )
             eps = mean_system_as_eps(system)
-            sol = solve_system(eps, SolveConfig(seed=0))
+            sol = solve_system(eps, seed=0)
             roots = sorted(tuple(np.round(r.real, 7)) for r in sol.roots)
             from itertools import permutations
 
@@ -127,7 +127,6 @@ class TestMatchMeans:
         path_means = {0: np.array([1.0, 2.0]), 1: np.array([1.0, 3.0])}
         means, result = match_means(EXPT1, path_means)
         np.testing.assert_allclose(means, [1.0, 2.0, 3.0], atol=1e-12)
-        assert result.unmatched == ()
 
     def test_single_link_network(self):
         a = RoutingMatrix(((1,),))

@@ -4,8 +4,6 @@ import pytest
 from disttomo import pipeline
 from disttomo.match import (
     AmbiguityError,
-    ClusteringError,
-    MatchConfig,
     PathSolutions,
     auto_delta,
     cluster,
@@ -47,13 +45,12 @@ class TestCluster:
     def test_far_points_stay_separate(self):
         delta = 0.1
         pts = [(np.array([0.0, 0.0]), 0), (np.array([3 * delta, 0.0]), 1)]
-        classes, used = cluster(pts, delta)
+        classes = cluster(pts, delta)
         assert len(classes) == 2
-        assert used == delta
 
     def test_benchmark_pair_lands_in_one_class(self):
         # The two shared-link estimates are 0.0502 apart, below 2*0.03.
-        classes, _ = cluster(labeled_points(), 0.03)
+        classes = cluster(labeled_points(), 0.03)
         shared = [c for c in classes if c.paths == frozenset({0, 1})]
         assert len(shared) == 1
         members = {tuple(np.round(m, 4)) for m in shared[0].members}
@@ -63,23 +60,9 @@ class TestCluster:
         # All other classes stay path-pure.
         assert all(len(c.paths) == 1 for c in classes if c is not shared[0])
 
-    def test_strict_mode_shrinks_on_chain(self):
-        # Three collinear points at spacing 1.5*delta chain into one
-        # component whose extremes violate the pairwise condition.
-        delta = 1.0
-        pts = [(np.array([1.5 * delta * k]), k) for k in range(3)]
-        classes, used = cluster(pts, delta, strict=True)
-        assert used < delta
-        assert len(classes) == 3
-
-    def test_strict_mode_exhaustion_raises(self):
-        pts = [(np.array([0.0]), 0), (np.array([1.5]), 1), (np.array([3.0]), 2)]
-        with pytest.raises(ClusteringError):
-            cluster(pts, 1.0, strict=True, max_retries=0)
-
     def test_order_invariance(self):
-        classes_a, _ = cluster(labeled_points(), 0.03)
-        classes_b, _ = cluster(list(reversed(labeled_points())), 0.03)
+        classes_a = cluster(labeled_points(), 0.03)
+        classes_b = cluster(list(reversed(labeled_points())), 0.03)
         vals_a = [tuple(np.round(c.value, 10)) for c in classes_a]
         vals_b = [tuple(np.round(c.value, 10)) for c in classes_b]
         assert vals_a == vals_b
@@ -91,7 +74,7 @@ class TestCluster:
 
 class TestPsiStage1:
     def test_benchmark_shared_link(self):
-        classes, _ = cluster(labeled_points(), 0.03)
+        classes = cluster(labeled_points(), 0.03)
         assignment = psi_stage1(classes, EXPT1)
         assert set(assignment) == {0}
         value = classes[assignment[0]].value
@@ -108,7 +91,7 @@ class TestPsiStage1:
             (np.array([1.0, 1.0]), 0),
             (np.array([1.001, 1.0]), 1),
         ]
-        classes, _ = cluster(pts, 0.01)
+        classes = cluster(pts, 0.01)
         with pytest.raises(AmbiguityError, match="link 0"):
             psi_stage1(classes, EXPT1)
 
@@ -142,7 +125,6 @@ class TestRunMatching:
             [[0.17, 0.80, 0.03], [0.13, 0.47, 0.40], [0.80, 0.15, 0.05]]
         )
         np.testing.assert_allclose(result.weights, expected, atol=1e-12)
-        assert result.unmatched == ()
 
     def test_provenance_never_uses_forbidden_paths(self):
         result = run_matching(EXPT1, self.build_solutions(), d=2)
@@ -163,14 +145,14 @@ class TestRunMatching:
 
     def test_explicit_delta_respected(self):
         result = run_matching(
-            EXPT1, self.build_solutions(), d=2, config=MatchConfig(delta=0.03)
+            EXPT1, self.build_solutions(), d=2, delta=0.03
         )
         assert result.delta == pytest.approx(0.03)
 
 
 class TestFinalize:
     def test_reconstitutes_last_weight(self):
-        classes, _ = cluster(
+        classes = cluster(
             [(np.array([0.2, 0.3]), 0), (np.array([0.5, 0.1]), 1)], 0.01
         )
         assignment = {0: 0, 1: 1}
@@ -178,7 +160,7 @@ class TestFinalize:
         np.testing.assert_allclose(result.weights[:, 2], [0.5, 0.4])
 
     def test_shape_mismatch_rejected(self):
-        classes, _ = cluster([(np.array([0.2, 0.3]), 0)], 0.01)
+        classes = cluster([(np.array([0.2, 0.3]), 0)], 0.01)
         with pytest.raises(ValueError, match="shape"):
             finalize({0: 0}, classes, d=2, delta=0.01, ground_truth=np.zeros((2, 3)))
 

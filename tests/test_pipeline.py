@@ -57,7 +57,6 @@ class TestExactMode:
             return match.MatchResult(
                 weights=np.array([[3.83, -2.84, 0.01]]),
                 provenance=({"link": 0, "paths": [0]},),
-                unmatched=(),
                 delta=1e-3,
             )
 

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from disttomo import epsbuild
+from disttomo import epsbuild, mgfest
 from disttomo.epsbuild import assemble_system, build_eps, build_t_tau
 from disttomo.model import GhMix, gh_mgf
 from disttomo.polysolve import (
-    SolveConfig,
     newton_refine,
     reduce_first_components,
     solve_system,
@@ -30,7 +29,7 @@ def exact_system(weights_per_link, tau=TAU, rates=RATES):
     ]
     polys = build_eps(n_i, d, rates)
     t_mat = build_t_tau(tau, n_i, d, rates)
-    return assemble_system(polys, t_mat, c, n_i=n_i, d=d, lambdas=rates)
+    return assemble_system(polys, t_mat, c, n_i=n_i, d=d)
 
 
 PATH1 = exact_system([(0.17, 0.80, 0.03), (0.13, 0.47, 0.40)])
@@ -63,37 +62,37 @@ class TestSolveUnivariate:
 
 class TestSolveSystem:
     def test_true_weights_among_roots(self):
-        sol = solve_system(PATH1, SolveConfig(seed=0))
+        sol = solve_system(PATH1, seed=0)
         x_true = np.array([0.17, 0.80, 0.13, 0.47])
         dists = [np.linalg.norm(r - x_true) for r in sol.roots]
         assert min(dists) < 1e-8
 
     def test_root_count_multiple_of_block_factorial(self):
-        sol = solve_system(PATH1, SolveConfig(seed=0))
+        sol = solve_system(PATH1, seed=0)
         assert sol.n_roots % math.factorial(PATH1.n_i) == 0
 
     def test_block_swapped_roots_present(self):
         # Symmetry: if (a, b) is a root so is (b, a).
-        sol = solve_system(PATH1, SolveConfig(seed=0))
+        sol = solve_system(PATH1, seed=0)
         d = PATH1.d
         for r in sol.roots:
             swapped = np.concatenate([r[d:], r[:d]])
             assert min(np.linalg.norm(swapped - q) for q in sol.roots) < 1e-6
 
     def test_residuals_small(self):
-        sol = solve_system(PATH1, SolveConfig(seed=0))
+        sol = solve_system(PATH1, seed=0)
         assert max(sol.residuals) < 1e-8
 
     def test_seed_changes_gamma_not_roots(self):
-        a = solve_system(PATH1, SolveConfig(seed=1))
-        b = solve_system(PATH1, SolveConfig(seed=2))
+        a = solve_system(PATH1, seed=1)
+        b = solve_system(PATH1, seed=2)
         assert a.n_roots == b.n_roots
         for r in a.roots:
             assert min(np.linalg.norm(r - q) for q in b.roots) < 1e-6
 
     def test_multistart_newton_oracle(self):
         # Random-start Newton finds no root the continuation missed.
-        sol = solve_system(PATH1, SolveConfig(seed=0))
+        sol = solve_system(PATH1, seed=0)
         rng = np.random.default_rng(4)
         for _ in range(60):
             x0 = rng.normal(0.0, 2.0, 4) + 1j * rng.normal(0.0, 2.0, 4)
@@ -106,7 +105,7 @@ class TestSolveSystem:
     def test_univariate_agreement_single_link(self):
         # One link, d=1: the system is a single polynomial in one variable.
         system = exact_system([(0.3, 0.7)], tau=(0.7,), rates=(2.0, 1.0))
-        sol = solve_system(system, SolveConfig(seed=0))
+        sol = solve_system(system, seed=0)
         coeffs = np.zeros(2, dtype=complex)
         # E(x) - u as univariate coefficients: linear system here.
         p = system.polynomials[0]
@@ -115,6 +114,14 @@ class TestSolveSystem:
         want = np.sort_complex(solve_univariate(coeffs))
         got = np.sort_complex(np.array([r[0] for r in sol.roots]))
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+    def test_near_end_step_collapse_keeps_finite_roots(self):
+        # With these probe points and gamma, 4 of the 16 tracks collapse
+        # their step just short of s = 1 at the size of the true roots;
+        # polishing those iterates recovers all 6 roots instead of 2.
+        tau = mgfest.choose_tau(2, 2, RATES, seed=1004)
+        system = exact_system([(0.17, 0.80, 0.03), (0.13, 0.47, 0.40)], tau=tau)
+        assert solve_system(system, seed=1004).n_roots == 6
 
     def test_one_evaluator_per_system(self, monkeypatch):
         built = []
@@ -126,7 +133,7 @@ class TestSolveSystem:
 
         monkeypatch.setattr(epsbuild, "_SystemEvaluator", Counting)
         system = exact_system([(0.17, 0.80, 0.03), (0.13, 0.47, 0.40)])
-        sol = solve_system(system, SolveConfig(seed=0))
+        sol = solve_system(system, seed=0)
         newton_refine(system, sol.roots[0])
         system.residual(sol.roots[0])
         assert len(built) == 1
