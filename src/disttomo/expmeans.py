@@ -143,12 +143,12 @@ def match_means(
     delta: float | None = None,
     ground_truth=None,
 ):
-    """Assign one mean per link by the same intersection rule as the
-    weight-vector case, clustering scalar means across paths.
+    """Assign one mean per link by the same least-disagreement search as
+    the weight-vector case, over every ordering of each path's means.
 
     ``path_means`` maps path index to the solved means of that path;
-    ``delta`` is the clustering radius, None choosing it automatically.
-    Returns (means array of length N, MatchResult).
+    ``delta``, when given, bounds how far any path's mean may lie from its
+    link's estimate.  Returns (means array of length N, MatchResult).
     """
     path_solutions = {}
     for i, means in path_means.items():
@@ -157,16 +157,13 @@ def match_means(
             raise ValueError(
                 f"path {i}: {len(means)} means for {len(links)} links"
             )
-        vectors = tuple(np.array([m], dtype=float) for m in means)
         # The multivariate solution set is exactly the permutation orbit of
         # the mean vector, so the full root list can be reconstituted.
         roots = tuple(
             tuple(np.array([m], dtype=float) for m in perm)
             for perm in sorted(set(permutations(means)))
         )
-        path_solutions[i] = PathSolutions(
-            path_id=i, links=links, reduced=vectors, root_blocks=roots
-        )
+        path_solutions[i] = PathSolutions(path_id=i, links=links, root_blocks=roots)
     result = run_matching(a, path_solutions, d=1, delta=delta, ground_truth=None)
     means = result.weights[:, 0].copy()
     if ground_truth is not None:

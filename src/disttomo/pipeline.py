@@ -2,7 +2,7 @@
 
 ``algebraic_gh`` is the paper's method: each path is processed
 independently (probe selection, MGF estimation, system construction,
-all-roots solve) and the per-path solution clouds are then matched across
+all-roots solve) and the per-path real roots are then matched across
 paths to produce one estimate per link.  ``estimate_gh`` runs it on exact
 MGFs and a binned maximum-likelihood fit over all paths on samples.
 Topologies that are not 1-identifiable are rejected up front.
@@ -37,7 +37,7 @@ class EstimateOptions:
     tau: dict[int, tuple[float, ...]] | None = None  # per-path probe points
     tau_seed: int = 0
     solver_seed: int = 0
-    delta: float | None = None  # None -> automatic clustering radius
+    delta: float | None = None  # bound on cross-path disagreement; None -> unbounded
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,22 @@ def _check_identifiable(a: model.RoutingMatrix) -> None:
     reasons = model.identifiability_defects(a)
     if reasons:
         raise ValueError(f"routing matrix is not 1-identifiable: {'; '.join(reasons)}")
+
+
+def _check_samples(a: model.RoutingMatrix, samples) -> None:
+    """Reject samples that do not give every path finite, nonnegative delays."""
+    if len(samples) > a.n_paths:
+        raise ValueError(
+            f"samples given for {len(samples)} paths; the routing matrix has {a.n_paths}"
+        )
+    for i in range(a.n_paths):
+        y = np.asarray(samples[i], dtype=float) if i < len(samples) else np.empty(0)
+        if y.size == 0:
+            raise ValueError(f"path {i} has no samples")
+        if not np.isfinite(y).all():
+            raise ValueError(f"path {i} has non-finite values")
+        if (y < 0).any():
+            raise ValueError(f"path {i} has negative delays")
 
 
 def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> np.ndarray:
@@ -177,6 +193,8 @@ def algebraic_gh(
     if samples is None and exact_mixes is None:
         raise ValueError("need either samples or exact_mixes")
     _check_identifiable(a)
+    if exact_mixes is None:
+        _check_samples(a, samples)
     path_solutions: dict[int, match.PathSolutions] = {}
     diagnostics: list[PathDiagnostics] = []
     eps_cache: dict[int, list[epsbuild.SparsePoly]] = {}
@@ -207,7 +225,6 @@ def algebraic_gh(
         path_solutions[i] = match.PathSolutions(
             path_id=i,
             links=links,
-            reduced=tuple(reduced),
             root_blocks=tuple(_blocks(r, n_i, d) for r in sol.real_roots(near_real_tol)),
         )
         diagnostics.append(
@@ -263,6 +280,7 @@ def estimate_gh(
             "or exact_mixes); the likelihood fit on samples uses neither"
         )
     _check_identifiable(a)
+    _check_samples(a, samples)
     w_free = _likelihood_polish(a, lambdas, samples, opts.solver_seed)
     weights = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
     error_norm = None
@@ -305,6 +323,8 @@ def estimate_exp(
     if samples is None and exact_means is None:
         raise ValueError("need either samples or exact_means")
     _check_identifiable(a)
+    if exact_means is None:
+        _check_samples(a, samples)
     path_means: dict[int, np.ndarray] = {}
     diagnostics = []
     for i in range(a.n_paths):

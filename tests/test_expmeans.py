@@ -152,3 +152,12 @@ class TestEstimateExpPipeline:
         ss = sample_paths(EXPT1, mixes, 10**6, seed=0)
         means, _, _ = pipeline.estimate_exp(EXPT1, samples=ss.samples)
         np.testing.assert_allclose(means, truth, rtol=0.02)
+
+    def test_default_delta_on_two_shared_links(self):
+        a = RoutingMatrix(((1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)))
+        truth = [0.4, 1.0, 2.5, 4.0]
+        mixes = [GhMix((1.0 / m,), (1.0,)) for m in truth]
+        ss = sample_paths(a, mixes, 200_000, seed=2)
+        means, _, _ = pipeline.estimate_exp(a, samples=ss.samples)
+        assert len(means) == 4
+        assert np.linalg.norm(means - truth) < 0.1

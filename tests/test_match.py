@@ -2,98 +2,10 @@ import numpy as np
 import pytest
 
 from disttomo import pipeline
-from disttomo.match import (
-    AmbiguityError,
-    PathSolutions,
-    auto_delta,
-    cluster,
-    finalize,
-    psi_stage1,
-    run_matching,
-)
+from disttomo.match import AmbiguityError, PathSolutions, run_matching
 from disttomo.model import GhMix, RoutingMatrix, is_one_identifiable
 
 EXPT1 = RoutingMatrix(((1, 1, 0), (1, 0, 1)))
-
-# Estimated per-path solution clouds of the two-path tree benchmark
-# (first-block vectors), used as a realistic clustering fixture.
-M1_HAT = [
-    (0.1542, 0.4558),
-    (0.1292, 0.8356),
-    (3.8525, -2.8646),
-    (0.2260, 0.7394),
-    (0.0882, 0.5152),
-    (0.0052, -0.1330),
-]
-M2_HAT = [
-    (0.7933, 0.1459),
-    (0.1720, 0.8095),
-    (5.5573, -4.5584),
-    (0.1645, 0.7669),
-    (0.8296, 0.1540),
-    (0.0246, -0.0259),
-]
-
-
-def labeled_points():
-    pts = [(np.array(v), 0) for v in M1_HAT]
-    pts += [(np.array(v), 1) for v in M2_HAT]
-    return pts
-
-
-class TestCluster:
-    def test_far_points_stay_separate(self):
-        delta = 0.1
-        pts = [(np.array([0.0, 0.0]), 0), (np.array([3 * delta, 0.0]), 1)]
-        classes = cluster(pts, delta)
-        assert len(classes) == 2
-
-    def test_benchmark_pair_lands_in_one_class(self):
-        # The two shared-link estimates are 0.0502 apart, below 2*0.03.
-        classes = cluster(labeled_points(), 0.03)
-        shared = [c for c in classes if c.paths == frozenset({0, 1})]
-        assert len(shared) == 1
-        members = {tuple(np.round(m, 4)) for m in shared[0].members}
-        # The cross-path pair at distance 0.0502 < 2*0.03 is joined (one
-        # same-path neighbor chains in as well under component clustering).
-        assert {(0.1292, 0.8356), (0.1720, 0.8095)} <= members
-        # All other classes stay path-pure.
-        assert all(len(c.paths) == 1 for c in classes if c is not shared[0])
-
-    def test_order_invariance(self):
-        classes_a = cluster(labeled_points(), 0.03)
-        classes_b = cluster(list(reversed(labeled_points())), 0.03)
-        vals_a = [tuple(np.round(c.value, 10)) for c in classes_a]
-        vals_b = [tuple(np.round(c.value, 10)) for c in classes_b]
-        assert vals_a == vals_b
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            cluster(labeled_points(), 0.0)
-
-
-class TestPsiStage1:
-    def test_benchmark_shared_link(self):
-        classes = cluster(labeled_points(), 0.03)
-        assignment = psi_stage1(classes, EXPT1)
-        assert set(assignment) == {0}
-        value = classes[assignment[0]].value
-        # Mean of the three clustered members (the cross-path pair plus one
-        # chained neighbor); stays within the coarse-delta noise band of the
-        # underlying vector (0.17, 0.80).
-        np.testing.assert_allclose(value, [0.15523, 0.804], atol=1e-4)
-
-    def test_ambiguity_raises(self):
-        # Two classes both span the two paths: no unique candidate.
-        pts = [
-            (np.array([0.0, 0.0]), 0),
-            (np.array([0.001, 0.0]), 1),
-            (np.array([1.0, 1.0]), 0),
-            (np.array([1.001, 1.0]), 1),
-        ]
-        classes = cluster(pts, 0.01)
-        with pytest.raises(AmbiguityError, match="link 0"):
-            psi_stage1(classes, EXPT1)
 
 
 class TestRunMatching:
@@ -113,7 +25,6 @@ class TestRunMatching:
             return PathSolutions(
                 path_id=pid,
                 links=links,
-                reduced=(a, b, s),
                 root_blocks=((a, b), (b, a), (s, s)),
             )
 
@@ -150,27 +61,55 @@ class TestRunMatching:
         assert result.delta == pytest.approx(0.03)
 
 
-class TestFinalize:
-    def test_reconstitutes_last_weight(self):
-        classes = cluster(
-            [(np.array([0.2, 0.3]), 0), (np.array([0.5, 0.1]), 1)], 0.01
-        )
-        assignment = {0: 0, 1: 1}
-        result = finalize(assignment, classes, d=2, delta=0.01)
-        np.testing.assert_allclose(result.weights[:, 2], [0.5, 0.4])
+class TestLeastDisagreement:
+    def test_symmetric_paths_are_ambiguous(self):
+        # Both link orders of both paths agree perfectly: two combinations
+        # cost 0 and swap the weights of every link.
+        zero, one = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+        roots = ((zero, one), (one, zero))
+        sols = {
+            0: PathSolutions(path_id=0, links=(0, 1), root_blocks=roots),
+            1: PathSolutions(path_id=1, links=(0, 2), root_blocks=roots),
+        }
+        with pytest.raises(AmbiguityError, match="tie"):
+            run_matching(EXPT1, sols, d=2)
 
-    def test_shape_mismatch_rejected(self):
-        classes = cluster([(np.array([0.2, 0.3]), 0)], 0.01)
+    def noisy_solutions(self):
+        # The shared link's blocks sit 0.04 apart, 0.02 from their mean.
+        return {
+            0: PathSolutions(
+                path_id=0,
+                links=(0, 1),
+                root_blocks=((np.array([0.17, 0.80]), np.array([0.13, 0.47])),),
+            ),
+            1: PathSolutions(
+                path_id=1,
+                links=(0, 2),
+                root_blocks=((np.array([0.21, 0.80]), np.array([0.80, 0.15])),),
+            ),
+        }
+
+    def test_spread_reported_without_delta(self):
+        result = run_matching(EXPT1, self.noisy_solutions(), d=2)
+        assert result.delta == pytest.approx(0.02)
+        np.testing.assert_allclose(result.weights[0], [0.19, 0.80, 0.01])
+        assert result.provenance[0]["blocks"] == [[0.17, 0.80], [0.21, 0.80]]
+
+    def test_delta_below_spread_raises(self):
+        with pytest.raises(AmbiguityError, match="delta"):
+            run_matching(EXPT1, self.noisy_solutions(), d=2, delta=0.01)
+
+    def test_path_without_root_raises(self):
+        sols = self.noisy_solutions()
+        sols[1] = PathSolutions(path_id=1, links=(0, 2), root_blocks=())
+        with pytest.raises(AmbiguityError, match="path 1 has no real root"):
+            run_matching(EXPT1, sols, d=2)
+
+    def test_ground_truth_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            finalize({0: 0}, classes, d=2, delta=0.01, ground_truth=np.zeros((2, 3)))
-
-
-def test_auto_delta_is_min_cross_path_distance():
-    sols = {
-        0: PathSolutions(0, (0,), (np.array([0.0]), np.array([5.0])), ()),
-        1: PathSolutions(1, (0,), (np.array([0.4]),), ()),
-    }
-    assert auto_delta(sols) == pytest.approx(0.4)
+            run_matching(
+                EXPT1, self.noisy_solutions(), d=2, ground_truth=np.zeros((2, 3))
+            )
 
 
 class TestIdealCaseProperty:

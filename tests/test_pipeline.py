@@ -75,3 +75,33 @@ class TestIdentifiability:
         a = RoutingMatrix(((1, 0), (1, 0)))
         with pytest.raises(ValueError, match="column 2 is all-zero"):
             pipeline.estimate_exp(a, exact_means=[1.0, 2.0])
+
+
+class TestSampleChecks:
+    """Both sampled estimators reject bad samples before any work."""
+
+    @staticmethod
+    def _samples(case):
+        mixes = [GhMix(RATES, w) for w in WEIGHTS]
+        samples = list(sample_paths(EXPT1, mixes, 1000, seed=0).samples)
+        if case == "short":
+            return samples[:1], "path 1"
+        y = samples[0].copy()
+        if case == "empty":
+            y = y[:0]
+        else:
+            y[3] = {"nan": np.nan, "inf": np.inf, "negative": -0.5}[case]
+        samples[0] = y
+        return samples, "path 0"
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "negative", "empty", "short"])
+    def test_estimate_gh_rejects(self, case):
+        samples, path = self._samples(case)
+        with pytest.raises(ValueError, match=path):
+            pipeline.estimate_gh(EXPT1, RATES, samples=samples)
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "negative", "empty", "short"])
+    def test_estimate_exp_rejects(self, case):
+        samples, path = self._samples(case)
+        with pytest.raises(ValueError, match=path):
+            pipeline.estimate_exp(EXPT1, samples=samples)
