@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,37 +94,66 @@ def _write_csv(path: Path, samples) -> None:
                 writer.writerow([path_id, idx, f"{value:.17g}"])
 
 
-def _read_csv(path: str, n_paths: int):
-    per_path: dict[int, list[float]] = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["path_id", "sample_index", "value"]:
-                raise ValidationError(
-                    f"samples file {path} must have header path_id,sample_index,value"
-                )
+def _bad_row(path: str) -> ValidationError | None:
+    """The first data line that is not three numbers with a whole path id.
+
+    Runs only after the vectorised read failed, to name the file line.
+    """
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split(",")
+            if line_no == 1 or fields == [""]:
+                continue
             try:
-                for row in reader:
-                    per_path.setdefault(int(row["path_id"]), []).append(
-                        float(row["value"])
-                    )
-            except (ValueError, TypeError) as exc:
-                raise ValidationError(
-                    f"samples file {path}, line {reader.line_num}: bad row ({exc})"
-                ) from exc
+                if len(fields) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(fields)}")
+                path_id, _, _ = (float(f) for f in fields)
+                if not path_id.is_integer():
+                    raise ValueError(f"path id {fields[0]!r} is not a whole number")
+            except ValueError as exc:
+                return ValidationError(
+                    f"samples file {path}, line {line_no}: bad row ({exc})"
+                )
+    return None
+
+
+def _read_csv(path: str, n_paths: int):
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n")
+        if header != "path_id,sample_index,value":
+            raise ValidationError(
+                f"samples file {path} must have header path_id,sample_index,value"
+            )
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(
+                    path, delimiter=",", skiprows=1, ndmin=2, comments=None
+                )
+            if data.size and data.shape[1] != 3:
+                raise ValueError(f"{data.shape[1]} columns")
+            path_ids = data[:, 0]
+            if not (np.isfinite(path_ids) & (path_ids == np.round(path_ids))).all():
+                raise ValueError("a path id is not a whole number")
+        except ValueError as exc:
+            raise _bad_row(path) or ValidationError(
+                f"samples file {path}: bad row ({exc})"
+            ) from exc
     except OSError as exc:
         raise ValidationError(f"cannot read samples file {path}: {exc}") from exc
-    missing = [i for i in range(n_paths) if i not in per_path]
+    ids = set(np.unique(path_ids).astype(int).tolist())
+    missing = [i for i in range(n_paths) if i not in ids]
     if missing:
         raise ValidationError(
             f"samples file {path} covers no samples for path(s) {missing}"
         )
-    unknown = sorted(set(per_path) - set(range(n_paths)))
+    unknown = sorted(ids - set(range(n_paths)))
     if unknown:
         raise ValidationError(
             f"samples file {path} has path id(s) {unknown} outside 0..{n_paths - 1}"
         )
-    return [np.asarray(per_path[i]) for i in range(n_paths)]
+    return [data[path_ids == i, 2] for i in range(n_paths)]
 
 
 def _parse_tau(text: str | None, a: RoutingMatrix, d: int):

@@ -89,6 +89,17 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     can settle in a spurious basin that the likelihood ranks below the
     genuine one.
 
+    The objective is evaluated in stacked form, so its numpy call count does
+    not grow with the number of paths.  Paths are grouped by link count N,
+    and each group's hypoexponential tables are stacked once into a
+    (P, (d+1)^N, bins) array, shorter paths padded with zero-count bins.
+    A path's bin probabilities are the Kronecker product of its links' weight
+    vectors times its table, one batched ``matmul`` per group.  For the
+    gradient, the tables times the count/probability ratio give one
+    (P, (d+1)^N) array R; each link position contracts R against the other
+    positions' weights in one ``einsum``, and ``np.add.at`` sums the results
+    into the links.
+
     Bin probabilities are floored at 1e-12 (with the gradient masked there)
     so a handful of tail outliers the rate model cannot explain contribute
     a flat penalty instead of dragging the whole fit; the floor never
@@ -104,45 +115,61 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     u_grid = np.geomspace(1e-3 / lam.max(), 20.0 / lam.min(), 60)
     dens_basis = lam[:, None] * np.exp(-np.outer(lam, u_grid))  # (d+1, grid)
     penalty_coeff = 1e8
-    paths = []
+    floor = 1e-12
+    by_length: dict[int, list] = {}
     for i in range(a.n_paths):
         links = sorted(a.path_links(i))
         y = np.sort(np.asarray(samples[i], dtype=float))
         edges = np.unique(np.quantile(y, np.linspace(0.0, 1.0, n_bins + 1))[:-1])
         edges[0] = 0.0
         counts = np.diff(np.append(np.searchsorted(y, edges), y.size))
-        shape = (d + 1,) * len(links)
-        table = np.empty(shape + (len(edges),))
-        for assign in product(range(d + 1), repeat=len(links)):
+        table = np.empty(((d + 1) ** len(links), len(edges)))
+        for row, assign in enumerate(product(range(d + 1), repeat=len(links))):
             cdf = model.hypoexp_cdf([lam[s] for s in assign], edges)
-            table[assign] = np.diff(np.append(cdf, 1.0))
-        paths.append((links, counts.astype(float), table))
+            table[row] = np.diff(np.append(cdf, 1.0))
+        by_length.setdefault(len(links), []).append((links, counts, table))
     del y  # the last sorted copy need not live through the fit
+
+    # Stack the paths of each link count N; zero-count padding bins add
+    # nothing to the likelihood or its gradient.
+    groups = []
+    for n_i, members in by_length.items():
+        width = max(c.size for _, c, _ in members)
+        counts = np.zeros((len(members), width))
+        tables = np.zeros((len(members), (d + 1) ** n_i, width))
+        for p, (_, c, t) in enumerate(members):
+            counts[p, :c.size] = c
+            tables[p, :, :c.size] = t
+        axes = "abcdefghijklmnopqrstuvwxyz"[:n_i]
+        subscripts = [
+            ",".join(["p" + axes] + ["p" + axes[q] for q in range(n_i) if q != k])
+            + "->p" + axes[k]
+            for k in range(n_i)
+        ]
+        link_idx = np.array([links for links, _, _ in members])
+        groups.append((link_idx, counts, tables, subscripts))
 
     def nll_and_grad(x):
         w_free = x.reshape(n, d)
         w_full = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
         total = 0.0
         grad = np.zeros((n, d + 1))
-        for links, counts, table in paths:
-            contracted = table
-            for j in links:
-                contracted = np.tensordot(w_full[j], contracted, axes=(0, 0))
-            floor = 1e-12
-            clamped = np.maximum(contracted, floor)
-            total -= counts @ np.log(clamped)
-            ratio = np.where(contracted > floor, counts / clamped, 0.0)
-            for pos, j in enumerate(links):
-                partial = table
-                for q, jq in enumerate(links):
-                    if q == pos:
-                        continue
-                    # link axes are consumed front to back; the kept axis
-                    # (position pos) stays in front once reached
-                    partial = np.tensordot(
-                        w_full[jq], partial, axes=(0, 0 if q < pos else 1)
-                    )
-                grad[j] -= partial @ ratio
+        for link_idx, counts, tables, subscripts in groups:
+            n_p, n_i = link_idx.shape
+            w = w_full[link_idx]  # (P, N, d+1)
+            kron = w[:, 0]
+            for k in range(1, n_i):
+                kron = (kron[:, :, None] * w[:, k, None, :]).reshape(n_p, -1)
+            probs = np.matmul(kron[:, None, :], tables)[:, 0]  # (P, bins)
+            clamped = np.maximum(probs, floor)
+            total -= np.vdot(counts, np.log(clamped))
+            ratio = np.where(probs > floor, counts / clamped, 0.0)
+            r = np.matmul(tables, ratio[:, :, None]).reshape((n_p,) + (d + 1,) * n_i)
+            partials = [
+                np.einsum(sub, r, *(w[:, q] for q in range(n_i) if q != k))
+                for k, sub in enumerate(subscripts)
+            ]
+            np.add.at(grad, link_idx, -np.stack(partials, axis=1))
         dens = w_full @ dens_basis  # (N, grid)
         neg = np.minimum(dens, 0.0)
         total += penalty_coeff * float((neg * neg).sum())

@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from disttomo import cli
+from disttomo.model import GhMix, RoutingMatrix
+from disttomo.simulate import sample_paths
 
 EXPT1_TOPOLOGY = {
     "matrix": [[1, 1, 0], [1, 0, 1]],
@@ -150,6 +153,43 @@ class TestEstimate:
         argv = ["estimate", "--topology", topo_path, "--samples", str(samples)]
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,0,1.5\n1,0,0.7\n0,1,abc\n", "line 4"),
+            ("0,0,1.5\n0.5,0,0.7\n1,0,0.9\n", "line 3"),
+        ],
+        ids=["unparsable_value", "fractional_path_id"],
+    )
+    def test_bad_row_names_its_line(self, topo_path, tmp_path, capsys, rows, message):
+        samples = tmp_path / "bad.csv"
+        samples.write_text("path_id,sample_index,value\n" + rows)
+        argv = ["estimate", "--topology", topo_path, "--samples", str(samples)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_empty_body_exits_2_without_warning(self, topo_path, tmp_path, capsys):
+        samples = tmp_path / "empty.csv"
+        samples.write_text("path_id,sample_index,value\n")
+        argv = ["estimate", "--topology", topo_path, "--samples", str(samples)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        assert "covers no samples for path(s) [0, 1]" in capsys.readouterr().err
+
+    def test_read_csv_returns_simulated_samples(self, topo_path, tmp_path):
+        samples = tmp_path / "s.csv"
+        argv = ["simulate", "--topology", topo_path, "--L", "1000", "--seed", "3",
+                "--out", str(samples)]
+        assert cli.main(argv) == 0
+        a = RoutingMatrix.from_array(EXPT1_TOPOLOGY["matrix"])
+        mixes = [GhMix(EXPT1_TOPOLOGY["rates"], w) for w in EXPT1_TOPOLOGY["links"]]
+        expected = sample_paths(a, mixes, 1000, seed=3).samples
+        read = cli._read_csv(str(samples), a.n_paths)
+        assert len(read) == len(expected)
+        for got, want in zip(read, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_bad_header_exits_2(self, topo_path, tmp_path, capsys):
         samples = tmp_path / "badhdr.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disttomo import match, mgfest, pipeline, polysolve
+from disttomo import experiments, match, mgfest, pipeline, polysolve
 from disttomo.model import GhMix, RoutingMatrix
 from disttomo.simulate import sample_paths
 
@@ -32,6 +32,83 @@ class TestSampledLikelihoodFit:
         assert np.isnan(result.delta)
         assert result.provenance[0] == {"link": 0, "paths": [0, 1]}
         assert diagnostics == []
+
+
+class _Captured(Exception):
+    pass
+
+
+def _objective(monkeypatch, a, rates, samples):
+    """The likelihood fit's objective, taken from its first ``minimize`` call."""
+    captured = []
+
+    def capture(fun, x0, **kwargs):
+        captured.append(fun)
+        raise _Captured
+
+    monkeypatch.setattr(pipeline, "minimize", capture)
+    with pytest.raises(_Captured):
+        pipeline._likelihood_polish(a, rates, samples, seed=0)
+    return captured[0]
+
+
+class TestLikelihoodObjective:
+    # paths of three and two links, so the objective stacks two groups; the
+    # last path's delays are rounded, and the ties leave it 269 distinct bin
+    # edges against 1000 on the other paths, so its bins are padded
+    MIXED = RoutingMatrix(((1, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)))
+    TRUTH = ((0.34, 0.26, 0.40), (0.46, 0.49, 0.05), (0.12, 0.65, 0.23), (0.71, 0.19, 0.10))
+
+    def _samples(self):
+        mixes = [GhMix(RATES, w) for w in self.TRUTH]
+        samples = list(sample_paths(self.MIXED, mixes, 20_000, seed=0).samples)
+        samples[3] = np.round(samples[3], 2)
+        return samples
+
+    def test_gradient_matches_central_differences(self, monkeypatch):
+        a = self.MIXED
+        fun = _objective(monkeypatch, a, RATES, self._samples())
+        rng = np.random.default_rng(3)
+        h = 1e-6
+        for _ in range(5):
+            x = rng.dirichlet(np.ones(3), size=a.n_links)[:, :2].ravel()
+            _, grad = fun(x)
+            steps = h * np.eye(x.size)
+            numeric = np.array(
+                [(fun(x + e)[0] - fun(x - e)[0]) / (2 * h) for e in steps]
+            )
+            assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+
+    def test_stacked_paths_add_up_to_single_paths(self, monkeypatch):
+        a, samples = self.MIXED, self._samples()
+        fun = _objective(monkeypatch, a, RATES, samples)
+        x = np.random.default_rng(4).dirichlet(np.ones(3), size=a.n_links)[:, :2]
+        value, grad = fun(x.ravel())
+        total, total_grad = 0.0, np.zeros_like(x)
+        for i in range(a.n_paths):
+            links = sorted(a.path_links(i))
+            one_path = RoutingMatrix(((1,) * len(links),))
+            v, g = _objective(monkeypatch, one_path, RATES, [samples[i]])(x[links].ravel())
+            total += v
+            total_grad[links] += g.reshape(len(links), 2)
+        assert value == pytest.approx(total, rel=1e-12)
+        np.testing.assert_allclose(grad, total_grad.ravel(), rtol=1e-9)
+
+
+class TestPinnedOutput:
+    # sampled estimate_gh on expt1, seed 0, L = 2e5, recorded before the
+    # objective was rewritten in stacked form; guards refactors of the fit
+    PINNED = (
+        (0.16517344667017905, 0.816139825131062, 0.01868672819875894),
+        (0.1512248174040464, 0.4346540731130769, 0.4141211094828767),
+        (0.7956994505958839, 0.1422073098499789, 0.06209323955413726),
+    )
+
+    def test_expt1_seed_0(self):
+        setup = experiments.get_setup("expt1")
+        samples = sample_paths(setup.matrix, setup.mixes(), 200_000, seed=0).samples
+        result, _ = pipeline.estimate_gh(setup.matrix, setup.effective_rates, samples=samples)
+        assert np.abs(result.weights - np.array(self.PINNED)).max() <= 1e-5
 
 
 class TestMatchingFallback:
