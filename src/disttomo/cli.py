@@ -8,7 +8,6 @@ matching failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -87,11 +86,12 @@ def _ground_truth_means(topo: dict) -> list[float]:
 
 def _write_csv(path: Path, samples) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "sample_index", "value"])
+        fh.write("path_id,sample_index,value\r\n")
         for path_id, values in enumerate(samples):
-            for idx, value in enumerate(values):
-                writer.writerow([path_id, idx, f"{value:.17g}"])
+            fh.writelines(
+                f"{path_id},{idx},{value:.17g}\r\n"
+                for idx, value in enumerate(values.tolist())
+            )
 
 
 def _bad_row(path: str) -> ValidationError | None:

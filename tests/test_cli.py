@@ -191,6 +191,15 @@ class TestEstimate:
         for got, want in zip(read, expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_write_csv_bytes(self, tmp_path):
+        # _read_csv and readers of earlier files expect \r\n line ends and 17 significant digits
+        out = tmp_path / "w.csv"
+        cli._write_csv(out, (np.array([0.1, 2.0]), np.array([1.0 / 3.0])))
+        assert out.read_bytes() == (
+            b"path_id,sample_index,value\r\n"
+            b"0,0,0.10000000000000001\r\n0,1,2\r\n1,0,0.33333333333333331\r\n"
+        )
+
     def test_bad_header_exits_2(self, topo_path, tmp_path, capsys):
         samples = tmp_path / "badhdr.csv"
         samples.write_text("pid,value\n0,1.5\n")

@@ -95,6 +95,34 @@ class TestLikelihoodObjective:
         np.testing.assert_allclose(grad, total_grad.ravel(), rtol=1e-9)
 
 
+class TestLikelihoodStartsAndEdges:
+    def test_five_starts_uniform_then_seeded_dirichlet(self, monkeypatch):
+        mixes = [GhMix(RATES, w) for w in WEIGHTS]
+        samples = sample_paths(EXPT1, mixes, 20_000, seed=0).samples
+        real_minimize = pipeline.minimize
+        x0s = []
+
+        def record(fun, x0, **kwargs):
+            x0s.append(np.array(x0))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(pipeline, "minimize", record)
+        seed, n, d = 7, EXPT1.n_links, len(RATES) - 1
+        pipeline._likelihood_polish(EXPT1, RATES, samples, seed=seed)
+        assert len(x0s) == 5
+        assert np.array_equal(x0s[0], np.full(n * d, 1.0 / (d + 1)))
+        rng = np.random.default_rng(seed)
+        for x0 in x0s[1:]:
+            assert np.array_equal(x0, rng.dirichlet(np.ones(d + 1), size=n)[:, :d].ravel())
+
+    @pytest.mark.parametrize("size", [1, 2, 1001, 100_000])
+    def test_edges_equal_numpy_quantile(self, size):
+        # rounding leaves runs of tied values
+        y = np.sort(np.round(np.random.default_rng(size).exponential(size=size), 2))
+        expected = np.quantile(y, np.linspace(0.0, 1.0, 1001))
+        assert np.array_equal(pipeline._quantile_edges(y, 1000), expected)
+
+
 class TestPinnedOutput:
     # sampled estimate_gh on expt1, seed 0, L = 2e5, recorded before the
     # objective was rewritten in stacked form; guards refactors of the fit
@@ -109,6 +137,27 @@ class TestPinnedOutput:
         samples = sample_paths(setup.matrix, setup.mixes(), 200_000, seed=0).samples
         result, _ = pipeline.estimate_gh(setup.matrix, setup.effective_rates, samples=samples)
         assert np.abs(result.weights - np.array(self.PINNED)).max() <= 1e-5
+
+    # sampled estimate_gh on expt3, seed 2, L = 1e6, as acceptance 4 runs it,
+    # recorded with the fit's former 17 starts.  Starts 1-4 end 8.48 nats
+    # worse than the uniform start here, so this guards the start count
+    # against landing in a spurious basin; at L = 2e5 every start reaches
+    # the same optimum and would guard nothing.
+    PINNED_EXPT3 = (
+        (0.38249515699030523, 0.2285790913890494, 0.38892575162064535),
+        (0.3919817537633792, 0.5522875018903846, 0.05573074434623626),
+        (0.08379773696846751, 0.6742651459075969, 0.24193711712393562),
+        (0.7870243037409753, 0.11779142174106859, 0.09518427451795608),
+    )
+
+    def test_expt3_seed_2_spurious_basin(self):
+        setup = experiments.get_setup("expt3")
+        samples = sample_paths(setup.matrix, setup.mixes(), 10**6, seed=2).samples
+        result, _ = pipeline.estimate_gh(
+            setup.matrix, setup.effective_rates, samples=samples,
+            options=pipeline.EstimateOptions(solver_seed=2),
+        )
+        assert np.abs(result.weights - np.array(self.PINNED_EXPT3)).max() <= 1e-5
 
 
 class TestMatchingFallback:
