@@ -231,11 +231,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _report_delta(delta: float) -> float | None:
+    """A report's ``delta``: null for the likelihood fit, which has none (NaN),
+    since JSON has no NaN."""
+    return None if np.isnan(delta) else delta
+
+
 def _gh_report(result, diags, args):
     report = {
         "model": "gh",
         "seed": args.seed,
-        "delta": result.delta,
+        "delta": _report_delta(result.delta),
         "tau": {str(dg.path_id): list(dg.tau) for dg in diags},
         "links": [
             {
@@ -324,7 +330,7 @@ def cmd_estimate(args) -> int:
         }
         if result.error_norm is not None:
             report["error_norm"] = result.error_norm
-    text = json.dumps(report, indent=2, default=str) + "\n"
+    text = json.dumps(report, indent=2, default=str, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -351,7 +357,8 @@ def cmd_experiment(args) -> int:
         print(f"{j + 1:4d} | {left} | {right}")
     print(f"error norm: {report['error_norm']:.4f}")
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        report["delta"] = _report_delta(report["delta"])
+        Path(args.out).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK
 

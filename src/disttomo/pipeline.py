@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from . import epsbuild, expmeans, match, mgfest, model, polysolve
 
@@ -91,6 +91,109 @@ def _quantile_edges(y: np.ndarray, n_bins: int) -> np.ndarray:
     return np.where(gamma >= 0.5, above - step * (1 - gamma), below + step * gamma)
 
 
+def _trust_step(gq, lam, radius):
+    """Minimise ``gq @ p + lam @ p**2 / 2`` over ``|p| <= radius`` exactly.
+
+    This is the trust-region subproblem in the eigenbasis of the Hessian:
+    ``lam`` holds its eigenvalues in ascending order and ``gq`` the gradient's
+    components along their eigenvectors.  The minimiser is
+    ``p(s) = -gq / (lam + s)`` for the least shift ``s >= max(0, -lam[0])``
+    that puts it inside the ball (Moré & Sorensen, 1983); on the boundary,
+    ``s`` solves the secular equation ``1/|p(s)| = 1/radius`` by Newton
+    steps.  Returns the step, in the eigenbasis, and whether it lies on the
+    boundary.
+    """
+    if lam[0] > 0:
+        p = -gq / lam
+        if p @ p <= radius * radius:
+            return p, False
+    lo = max(0.0, -lam[0])
+    if lam[0] <= 0:
+        tiny = 1e-12 * max(lo, lam[-1])
+        pole = lam + lo <= tiny
+        p = -gq / np.where(pole, 1.0, lam + lo)
+        p[pole] = 0.0
+        slack = radius * radius - p @ p
+        if slack > 0 and np.linalg.norm(gq[pole]) <= tiny * math.sqrt(slack):
+            # The hard case: the gradient has (next to) no part along the
+            # lowest curvature, so the shift sits at the pole; move along
+            # its eigenvector to reach the boundary.
+            p[0] = -math.copysign(math.sqrt(slack), gq[0])
+            return p, True
+    # Start at a shift no larger than the root, where one component alone
+    # reaches the radius: 1/|p(s)| is concave in s, so Newton steps from
+    # there rise monotonically to the root.  The loop runs on Python floats,
+    # which beat numpy calls on vectors this short.
+    terms = [(lk, gk * gk) for lk, gk in zip(lam.tolist(), gq.tolist()) if gk != 0.0]
+    s = max(lo, max(math.sqrt(g2) / radius - lk for lk, g2 in terms))
+    for _ in range(50):
+        norm2 = slope = 0.0
+        for lk, g2 in terms:
+            inv = 1.0 / (lk + s)
+            norm2 += g2 * inv * inv
+            slope += g2 * inv * inv * inv
+        norm = math.sqrt(norm2)
+        if norm - radius <= 1e-9 * radius:
+            break
+        s += norm2 * (norm - radius) / (radius * slope)
+    return np.divide(-gq, lam + s, out=np.zeros_like(gq), where=gq != 0.0), True
+
+
+def _trust_newton(fun, x0, jac, hess, **_):
+    """Trust-region Newton minimisation with exact subproblem solves.
+
+    A ``scipy.optimize.minimize`` method.  Each iteration takes the exact
+    minimiser of the local quadratic model within the trust radius
+    (``_trust_step`` on one ``eigh`` of the Hessian).  The radius follows
+    scipy's trust-region rule: it starts at 1, shrinks by 4 when the actual
+    reduction is under a quarter of the predicted one, and doubles, up to
+    1000, when it is over three quarters with the step on the boundary.
+    The step is taken when that ratio exceeds 0.15; a non-finite value at
+    the trial point rejects it.  When the Hessian is positive definite and
+    the Newton decrement ``grad @ H^-1 @ grad / 2`` is under 1e-8, the full
+    Newton step is the last one.  ``nit`` counts the steps tried, ``nfev``
+    the points ``fun`` was evaluated at and ``nhev`` the Hessians.
+    """
+    x = np.array(x0, dtype=float)
+    f, nfev = fun(x), 1
+    g, h, nhev = jac(x), hess(x), 1
+    radius, success, message = 1.0, False, "iteration limit reached"
+    nit = 0
+    while nit < 200:
+        lam, vec = np.linalg.eigh(h)
+        gq = vec.T @ g
+        if lam[0] > 0 and gq @ (gq / lam) < 2e-8:
+            nit += 1
+            x_try = x - vec @ (gq / lam)
+            f_try, nfev = fun(x_try), nfev + 1
+            # Compared with f, a change this small is rounding: take the step
+            # unless it left the domain.
+            if np.isfinite(f_try):
+                x, f, g = x_try, f_try, jac(x_try)
+            success, message = True, "Newton decrement below 1e-8"
+            break
+        p, on_boundary = _trust_step(gq, lam, radius)
+        predicted = -(gq @ p + 0.5 * (lam @ (p * p)))
+        if not predicted > 0:
+            message = "the quadratic model predicts no decrease"
+            break
+        nit += 1
+        x_try = x + vec @ p
+        f_try, nfev = fun(x_try), nfev + 1
+        rho = (f - f_try) / predicted if np.isfinite(f_try) else -np.inf
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius = min(2.0 * radius, 1000.0)
+        if rho > 0.15:
+            x, f = x_try, f_try
+            g, h, nhev = jac(x), hess(x), nhev + 1
+    return OptimizeResult(
+        x=x, fun=f, jac=g, nit=nit, nfev=nfev, nhev=nhev,
+        success=success, status=0 if success else 1, message=message,
+    )
+
+
 def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> np.ndarray:
     """Binned maximum-likelihood fit of the (N, d) free-weight matrix.
 
@@ -103,26 +206,37 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     polynomial stage consumes.  The bin edges are the samples' quantiles,
     read off each path's sorted samples by ``_quantile_edges``.
 
-    The fit runs from five starts, the uniform weights and the first four
+    The fit runs from seven starts, the uniform weights and the first six
     Dirichlet draws seeded by ``seed``, and keeps the best.  Restarts
     matter: a single start can settle in a spurious basin that the
-    likelihood ranks below the genuine one.  Five suffice: on 260 sampled
-    runs of expt1-3 (L = 1e6), the uniform start alone missed the best of
-    seventeen starts on 20, but the best of the first five was within
-    1e-6 nats of it on all of them.
+    likelihood ranks below the genuine one.  Seven suffice: on 440 sampled
+    runs of expt1-3 at L = 1e6 (seeds 0-19 of each; expt3 seeds 1000-1039,
+    1100-1159, 1200-1259 and 1300-1399; expt1 and expt2 seeds 1000-1019,
+    1100-1119 and 1200-1219), the best of the first seven was within 1e-6
+    nats of the best of seventeen every time, and two runs needed the sixth
+    start.  ``scripts/start_census.py`` repeats that census.
+
+    Each start is a trust-region Newton fit (``_trust_newton``) on the exact
+    Hessian: with n*d free weights, at most a dozen on the bundled
+    topologies, the Hessian costs about one more batched matmul than the
+    gradient, and a start converges in 10-20 steps.
 
     The objective is evaluated in stacked form, so its numpy call count does
     not grow with the number of paths.  Paths are grouped by link count N,
     and each group's hypoexponential tables are stacked once into a
     (P, (d+1)^N, bins) array, shorter paths padded with zero-count bins.
-    A path's bin probabilities are the Kronecker product of its links' weight
-    vectors times its table, one batched ``matmul`` per group.  For the
-    gradient, the tables times the count/probability ratio give one
-    (P, (d+1)^N) array R; each link position contracts R against the other
-    positions' weights in one ``einsum``, and ``np.add.at`` sums the results
-    into the links.
+    Each position's derivative dp/dw_k of a path's bin probabilities is the
+    Kronecker product of the other positions' weight vectors times its
+    table, with k's axis moved next to the bins: one batched ``matmul``
+    gives all of them.  The probabilities are position 0's derivative
+    times its weights, the gradient is the derivatives times the
+    count/probability ratio, and ``np.add.at`` sums it into the links.  The
+    Hessian reuses those arrays: the derivatives weighted by count/p^2 give
+    its Gauss-Newton part in one ``matmul``, and since p is multilinear the
+    only second derivatives pair two positions, the tables times the ratio
+    contracted against the remaining positions' weights.
 
-    Bin probabilities are floored at 1e-12 (with the gradient masked there)
+    Bin probabilities are floored at 1e-12 (with the derivatives masked there)
     so a handful of tail outliers the rate model cannot explain contribute
     a flat penalty instead of dragging the whole fit; the floor never
     activates when the model matches the data.  A quadratic penalty keeps
@@ -130,7 +244,7 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     are not valid distributions can otherwise chase model mismatch to
     arbitrarily wild fits.
     """
-    n_bins, n_starts = 1000, 4
+    n_bins, n_starts = 1000, 6
     lam = np.asarray(lambdas, dtype=float)
     d = lam.size - 1
     n = a.n_links
@@ -153,51 +267,96 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     del y  # the last sorted copy need not live through the fit
 
     # Stack the paths of each link count N; zero-count padding bins add
-    # nothing to the likelihood or its gradient.
+    # nothing to the likelihood or its derivatives.
     groups = []
     for n_i, members in by_length.items():
+        n_p = len(members)
         width = max(c.size for _, c, _ in members)
-        counts = np.zeros((len(members), width))
-        tables = np.zeros((len(members), (d + 1) ** n_i, width))
+        counts = np.zeros((n_p, width))
+        tables = np.zeros((n_p, (d + 1) ** n_i, width))
         for p, (_, c, t) in enumerate(members):
             counts[p, :c.size] = c
             tables[p, :, :c.size] = t
-        axes = "abcdefghijklmnopqrstuvwxyz"[:n_i]
-        subscripts = [
-            ",".join(["p" + axes] + ["p" + axes[q] for q in range(n_i) if q != k])
-            + "->p" + axes[k]
+        cube = tables.reshape((n_p,) + (d + 1,) * n_i + (width,))
+        # per position k, the table with k's axis moved next to the bins, so
+        # the other positions' Kronecker product times it is dp/dw_k
+        moved = np.stack([
+            np.moveaxis(cube, 1 + k, n_i).reshape(n_p, -1, (d + 1) * width)
             for k in range(n_i)
+        ], axis=1)  # (P, N, (d+1)^(N-1), (d+1) bins)
+        others = np.array([[q for q in range(n_i) if q != k] for k in range(n_i)], dtype=np.intp)
+        axes = "abcdefghijklmnopqrstuvwxyz"[:n_i]
+        pair_subscripts = [
+            ((k, m), ",".join(["p" + axes] + ["p" + axes[q] for q in range(n_i)
+                                              if q not in (k, m)])
+             + "->p" + axes[k] + axes[m])
+            for k in range(n_i) for m in range(k + 1, n_i)
         ]
         link_idx = np.array([links for links, _, _ in members])
-        groups.append((link_idx, counts, tables, subscripts))
+        # each path's weights' rows among all links' full weights
+        flat = (link_idx[:, :, None] * (d + 1) + np.arange(d + 1)).reshape(n_p, -1)
+        groups.append((link_idx, counts, tables, moved, others, pair_subscripts, flat))
+
+    # what the latest nll_and_grad call computed, for nll_hess at the same x
+    latest: dict = {}
 
     def nll_and_grad(x):
         w_free = x.reshape(n, d)
         w_full = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
         total = 0.0
-        grad = np.zeros((n, d + 1))
-        for link_idx, counts, tables, subscripts in groups:
+        grad = np.zeros(n * (d + 1))  # over all links' full weights
+        shared = []
+        for link_idx, counts, _, moved, others, _, flat in groups:
             n_p, n_i = link_idx.shape
             w = w_full[link_idx]  # (P, N, d+1)
-            kron = w[:, 0]
-            for k in range(1, n_i):
-                kron = (kron[:, :, None] * w[:, k, None, :]).reshape(n_p, -1)
-            probs = np.matmul(kron[:, None, :], tables)[:, 0]  # (P, bins)
+            rest = w[:, others]  # (P, N, N-1, d+1)
+            kron = np.ones((n_p, n_i, 1))
+            for j in range(n_i - 1):
+                kron = (kron[..., None] * rest[:, :, j, None, :]).reshape(n_p, n_i, -1)
+            dprobs = np.matmul(kron[:, :, None, :], moved).reshape(n_p, n_i * (d + 1), -1)
+            probs = np.matmul(w[:, 0, None, :], dprobs[:, :d + 1])[:, 0]  # (P, bins)
             clamped = np.maximum(probs, floor)
             total -= np.vdot(counts, np.log(clamped))
             ratio = np.where(probs > floor, counts / clamped, 0.0)
-            r = np.matmul(tables, ratio[:, :, None]).reshape((n_p,) + (d + 1,) * n_i)
-            partials = [
-                np.einsum(sub, r, *(w[:, q] for q in range(n_i) if q != k))
-                for k, sub in enumerate(subscripts)
-            ]
-            np.add.at(grad, link_idx, -np.stack(partials, axis=1))
+            np.add.at(grad, flat, -np.matmul(dprobs, ratio[:, :, None])[:, :, 0])
+            shared.append((w, clamped, ratio, dprobs))
+        grad = grad.reshape(n, d + 1)
         dens = w_full @ dens_basis  # (N, grid)
         neg = np.minimum(dens, 0.0)
         total += penalty_coeff * float((neg * neg).sum())
         grad += 2.0 * penalty_coeff * (neg @ dens_basis.T)
         g_free = grad[:, :d] - grad[:, d:]
+        latest.update(x=x.copy(), shared=shared, dens=dens)
         return total, g_free.ravel()
+
+    def nll_hess(x):
+        if not np.array_equal(x, latest.get("x")):
+            nll_and_grad(x)
+        hess = np.zeros((n * (d + 1), n * (d + 1)))
+        for group, (w, clamped, ratio, dprobs) in zip(groups, latest["shared"]):
+            link_idx, _, tables, _, _, pair_subs, flat = group
+            n_p, n_i = link_idx.shape
+            # Gauss-Newton part: sum over bins of counts/p^2 dp dp^T
+            block = np.matmul(dprobs * (ratio / clamped)[:, None, :], dprobs.transpose(0, 2, 1))
+            # p is multilinear, so the only second derivatives pair two
+            # positions: the tables times the ratio, contracted against the
+            # remaining positions' weights
+            if pair_subs:
+                r = np.matmul(tables, ratio[:, :, None]).reshape((n_p,) + (d + 1,) * n_i)
+            for (k, m), sub in pair_subs:
+                cross = np.einsum(sub, r, *(w[:, q] for q in range(n_i) if q not in (k, m)))
+                rows = slice(k * (d + 1), (k + 1) * (d + 1))
+                cols = slice(m * (d + 1), (m + 1) * (d + 1))
+                block[:, rows, cols] -= cross
+                block[:, cols, rows] -= cross.transpose(0, 2, 1)
+            np.add.at(hess, (flat[:, :, None], flat[:, None, :]), block)
+        full = hess.reshape(n, d + 1, n, d + 1)
+        neg = (latest["dens"] < 0.0)[:, None, :]  # (N, 1, grid)
+        if neg.any():
+            links = np.arange(n)
+            full[links, :, links, :] += 2.0 * penalty_coeff * ((dens_basis * neg) @ dens_basis.T)
+        free = full[:, :d, :, :d] - full[:, :d, :, d:] - full[:, d:, :, :d] + full[:, d:, :, d:]
+        return free.reshape(n * d, n * d)
 
     rng = np.random.default_rng(seed)
     starts = [np.full((n, d), 1.0 / (d + 1))] + [
@@ -209,8 +368,8 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
             nll_and_grad,
             np.asarray(base, dtype=float).ravel(),
             jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 800, "ftol": 1e-15, "gtol": 1e-10},
+            hess=nll_hess,
+            method=_trust_newton,
         )
         if fit.fun < best_val:
             best_x, best_val = fit.x, fit.fun

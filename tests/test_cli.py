@@ -19,6 +19,15 @@ EXPT1_TOPOLOGY = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _strict_json(text):
+    """Parse as RFC 8259 does: no NaN or Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def topo_path(tmp_path):
     path = tmp_path / "topo.json"
@@ -245,9 +254,10 @@ class TestEstimate:
             "--seed", "0", "--out", str(out),
         ]
         assert cli.main(argv) == 0
-        report = json.loads(out.read_text())
+        report = _strict_json(out.read_text())
         assert report["L"] == 200000
         assert report["error_norm"] < 0.25
+        assert report["delta"] is None  # the likelihood fit has no delta
 
     def test_exp_model_explicit_delta(self, tmp_path):
         topo = tmp_path / "exp4.json"
@@ -286,6 +296,14 @@ class TestExperiment:
         np.testing.assert_allclose(
             report["estimated"], report["actual"], atol=1e-6
         )
+
+    def test_sampled_report_is_valid_json(self, tmp_path):
+        out = tmp_path / "expt1_sampled.json"
+        argv = ["experiment", "expt1", "--L", "20000", "--out", str(out)]
+        assert cli.main(argv) == 0
+        report = _strict_json(out.read_text())
+        assert report["delta"] is None
+        assert report["n_samples"] == 20000
 
     def test_unknown_name_rejected(self, capsys):
         with pytest.raises(SystemExit):

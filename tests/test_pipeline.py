@@ -39,11 +39,12 @@ class _Captured(Exception):
 
 
 def _objective(monkeypatch, a, rates, samples):
-    """The likelihood fit's objective, taken from its first ``minimize`` call."""
+    """The likelihood fit's objective and Hessian, taken from its first
+    ``minimize`` call."""
     captured = []
 
     def capture(fun, x0, **kwargs):
-        captured.append(fun)
+        captured.append((fun, kwargs["hess"]))
         raise _Captured
 
     monkeypatch.setattr(pipeline, "minimize", capture)
@@ -67,7 +68,7 @@ class TestLikelihoodObjective:
 
     def test_gradient_matches_central_differences(self, monkeypatch):
         a = self.MIXED
-        fun = _objective(monkeypatch, a, RATES, self._samples())
+        fun, _ = _objective(monkeypatch, a, RATES, self._samples())
         rng = np.random.default_rng(3)
         h = 1e-6
         for _ in range(5):
@@ -79,16 +80,30 @@ class TestLikelihoodObjective:
             )
             assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
 
+    def test_hessian_matches_central_differences(self, monkeypatch):
+        a = self.MIXED
+        fun, hess = _objective(monkeypatch, a, RATES, self._samples())
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        for _ in range(5):
+            x = rng.dirichlet(np.ones(3), size=a.n_links)[:, :2].ravel()
+            analytic = hess(x)
+            steps = h * np.eye(x.size)
+            numeric = np.array(
+                [(fun(x + e)[1] - fun(x - e)[1]) / (2 * h) for e in steps]
+            )
+            assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(analytic)
+
     def test_stacked_paths_add_up_to_single_paths(self, monkeypatch):
         a, samples = self.MIXED, self._samples()
-        fun = _objective(monkeypatch, a, RATES, samples)
+        fun, _ = _objective(monkeypatch, a, RATES, samples)
         x = np.random.default_rng(4).dirichlet(np.ones(3), size=a.n_links)[:, :2]
         value, grad = fun(x.ravel())
         total, total_grad = 0.0, np.zeros_like(x)
         for i in range(a.n_paths):
             links = sorted(a.path_links(i))
             one_path = RoutingMatrix(((1,) * len(links),))
-            v, g = _objective(monkeypatch, one_path, RATES, [samples[i]])(x[links].ravel())
+            v, g = _objective(monkeypatch, one_path, RATES, [samples[i]])[0](x[links].ravel())
             total += v
             total_grad[links] += g.reshape(len(links), 2)
         assert value == pytest.approx(total, rel=1e-12)
@@ -96,7 +111,7 @@ class TestLikelihoodObjective:
 
 
 class TestLikelihoodStartsAndEdges:
-    def test_five_starts_uniform_then_seeded_dirichlet(self, monkeypatch):
+    def test_seven_starts_uniform_then_seeded_dirichlet(self, monkeypatch):
         mixes = [GhMix(RATES, w) for w in WEIGHTS]
         samples = sample_paths(EXPT1, mixes, 20_000, seed=0).samples
         real_minimize = pipeline.minimize
@@ -109,7 +124,7 @@ class TestLikelihoodStartsAndEdges:
         monkeypatch.setattr(pipeline, "minimize", record)
         seed, n, d = 7, EXPT1.n_links, len(RATES) - 1
         pipeline._likelihood_polish(EXPT1, RATES, samples, seed=seed)
-        assert len(x0s) == 5
+        assert len(x0s) == 7
         assert np.array_equal(x0s[0], np.full(n * d, 1.0 / (d + 1)))
         rng = np.random.default_rng(seed)
         for x0 in x0s[1:]:
@@ -121,6 +136,98 @@ class TestLikelihoodStartsAndEdges:
         y = np.sort(np.round(np.random.default_rng(size).exponential(size=size), 2))
         expected = np.quantile(y, np.linspace(0.0, 1.0, 1001))
         assert np.array_equal(pipeline._quantile_edges(y, 1000), expected)
+
+
+class TestTrustNewton:
+    """``_trust_newton`` as a ``minimize`` method on small known functions."""
+
+    @staticmethod
+    def _run(fun, hess, x0):
+        """Minimise, recording every point ``fun`` and ``hess`` are called at."""
+        points, hessians = [], []
+
+        def value_and_grad(x):
+            points.append(np.array(x))
+            return fun(x)
+
+        def hessian(x):
+            hessians.append(np.array(x))
+            return hess(x)
+
+        fit = pipeline.minimize(
+            value_and_grad, np.asarray(x0, dtype=float), jac=True, hess=hessian,
+            method=pipeline._trust_newton,
+        )
+        return fit, points, hessians
+
+    def test_convex_quadratic_in_one_step(self):
+        a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        c = np.array([0.3, -0.2, 0.4])
+
+        def fun(x):
+            return 0.5 * (x - c) @ a @ (x - c), a @ (x - c)
+
+        fit, points, _ = self._run(fun, lambda x: a, np.zeros(3))
+        assert fit.success
+        # the first step lands on the minimum; the second, closing Newton
+        # step is empty
+        np.testing.assert_allclose(points[1], c, atol=1e-14)
+        np.testing.assert_allclose(fit.x, c, atol=1e-14)
+        assert fit.nit == 2
+
+    # x^2 - y^2 + y^4 / 4: a saddle at the origin, minima at (0, +-sqrt 2)
+    @staticmethod
+    def _saddle(x):
+        return (
+            x[0] ** 2 - x[1] ** 2 + x[1] ** 4 / 4,
+            np.array([2 * x[0], -2 * x[1] + x[1] ** 3]),
+        )
+
+    @staticmethod
+    def _saddle_hess(x):
+        return np.diag([2.0, -2.0 + 3 * x[1] ** 2])
+
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (0.5, 0.0), (0.3, 0.1), (-0.2, -0.05)])
+    def test_leaves_saddles_and_negative_curvature(self, x0):
+        fit, _, _ = self._run(self._saddle, self._saddle_hess, x0)
+        assert fit.success
+        assert np.linalg.eigvalsh(self._saddle_hess(fit.x)).min() > 0
+        assert np.linalg.norm(self._saddle(fit.x)[1]) < 1e-8
+        np.testing.assert_allclose(np.abs(fit.x), [0.0, np.sqrt(2.0)], atol=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_trial_values(self, bad):
+        # sqrt(1 + (x - 1)^2) + y^2 / 2, undefined beyond |(x, y)| = 1.05: the
+        # curvature is low at the start, so the first step, of the initial
+        # radius 1, leaves the domain
+        def fun(x):
+            if np.linalg.norm(x) > 1.05:
+                return bad, np.full(2, bad)
+            u = x[0] - 1.0
+            root = np.sqrt(1.0 + u * u)
+            return root + x[1] ** 2 / 2, np.array([u / root, x[1]])
+
+        def hess(x):
+            return np.diag([(1.0 + (x[0] - 1.0) ** 2) ** -1.5, 1.0])
+
+        fit, points, _ = self._run(fun, hess, (0.1, 0.0))
+        values = np.array([fun(x)[0] for x in points])
+        assert not np.isfinite(values[1])
+        assert fit.success and np.isfinite(fit.fun)
+        np.testing.assert_allclose(fit.x, [1.0, 0.0], atol=1e-6)
+
+    def test_counts_what_was_done(self):
+        from scipy.optimize import rosen, rosen_der, rosen_hess
+
+        fit, points, hessians = self._run(
+            lambda x: (rosen(x), rosen_der(x)), rosen_hess, (-1.2, 1.0)
+        )
+        assert fit.success
+        np.testing.assert_allclose(fit.x, np.ones(2), atol=1e-6)
+        assert fit.nfev == len(points)
+        assert fit.nhev == len(hessians)
+        assert fit.nit == len(points) - 1  # each step evaluates one point
+        assert fit.fun == rosen(fit.x)
 
 
 class TestPinnedOutput:
