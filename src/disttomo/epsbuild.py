@@ -347,8 +347,25 @@ class EpsSystem:
         """E(x) - u at a (possibly complex) point."""
         return self.evaluator(np.asarray(x, dtype=complex))[0]
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(p.degree() for p in self.polynomials)
+    def stage_relations(self) -> np.ndarray:
+        """The b with z_k z_r = b[k, r] z_k + b[r, k] z_r for every stage pair.
+
+        z_k is stage k's basis function over the last rate.  Expanding
+        z_k^{N-1} z_r puts b[k, r] alone on z_k^{N-1}, so it is the
+        coefficient of x_{1k}...x_{N-1,k} x_{Nr} in h_{k,N-1}.  Needs N >= 2.
+        """
+        n, d = self.n_i, self.d
+        b = np.zeros((d, d))
+        for k in range(1, d + 1):
+            h = self.polynomials[(k - 1) * n + n - 2]
+            for r in range(1, d + 1):
+                if r != k:
+                    exps = [0] * (n * d)
+                    for j in range(1, n):
+                        exps[var_index(j, k, d)] = 1
+                    exps[var_index(n, r, d)] = 1
+                    b[k - 1, r - 1] = complex(h.terms.get(tuple(exps), 0)).real
+        return b
 
 
 class _SystemEvaluator:

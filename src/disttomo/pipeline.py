@@ -36,7 +36,7 @@ class EstimateOptions:
 
     tau: dict[int, tuple[float, ...]] | None = None  # per-path probe points
     tau_seed: int = 0
-    solver_seed: int = 0
+    solver_seed: int = 0  # seeds the likelihood fit's random starts
     delta: float | None = None  # bound on cross-path disagreement; None -> unbounded
 
 
@@ -428,7 +428,7 @@ def algebraic_gh(
             eps_cache[n_i] = epsbuild.build_eps(n_i, d, lambdas)
         t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
         system = epsbuild.assemble_system(eps_cache[n_i], t_tau, probe.c_hat, n_i=n_i, d=d)
-        sol = polysolve.solve_system(system, seed=opts.solver_seed)
+        sol = polysolve.solve_system(system)
         reduced = polysolve.reduce_first_components(sol.roots, d, near_real_tol=near_real_tol)
         path_solutions[i] = match.PathSolutions(
             path_id=i,

@@ -1,22 +1,26 @@
 """All-roots solving of the path polynomial systems.
 
-Total-degree homotopy continuation: start from the system
-prod_i (x_i^{deg_i} - 1) whose roots are products of roots of unity, blend
-into the target system with a random complex gamma, and track every
-Bezout path with an Euler predictor plus a short Newton corrector.
-Endpoints are Newton-polished against the target system and deduplicated.
-Systems here are small (a handful of variables, Bezout counts in the tens),
-so no projective endgame is used: a path whose step collapses near the end
-is Newton-polished from where it stopped, kept when that converges and
-counted as diverging when it does not.
+A path's system E(x) = u states, for every probe value t, that
+prod_j (1 + sum_k x_jk z_k) = 1 + sum_{k,q} u_kq z_k^q, where
+z_k = Lambda_k(t) / lambda_{d+1}.  Each w_k = 1/z_k is affine in one
+parameter s, so multiplying through by (prod_k w_k)^N turns every link's
+factor into a degree-d polynomial in s with a fixed leading coefficient and
+the right-hand side into one polynomial Q(s) of degree N*d.  The roots of
+E(x) = u are therefore exactly the ordered splits of Q's roots into N groups
+of d, (N*d)! / (d!)^N of them (the m-homogeneous Bezout number), and each
+group gives its link's weights in closed form.  Every candidate is
+Newton-polished against the system and the converged ones deduplicated.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .epsbuild import EpsSystem
 
@@ -30,20 +34,12 @@ __all__ = [
 ]
 
 
-# Path tracking: homotopy step bounds, Newton corrector steps per step, and
-# the norm beyond which a path is taken to escape to infinity.
-_MAX_STEP = 0.1
-_MIN_STEP = 1e-6
-_CORRECTOR_STEPS = 3
-_BLOWUP = 1e8
-# Endpoint polish, the Jacobian condition number above which a root is
-# flagged suspect, deduplication radius, and the share of failed paths (not
-# counting divergent ones) above which a solve warns.
+# Candidate polish, the Jacobian condition number above which a root is
+# flagged suspect, and the deduplication radius.
 _REFINE_TOL = 1e-10
 _REFINE_MAX_ITER = 50
 _SINGULAR_COND = 1e12
 _DEDUP_TOL = 1e-6
-_FAILURE_WARN_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -62,78 +58,6 @@ class SolutionSet:
     def real_roots(self, tol: float) -> list[np.ndarray]:
         """Roots whose imaginary parts are below ``tol``, projected to real."""
         return [r.real.copy() for r in self.roots if np.abs(r.imag).max() < tol]
-
-
-def _start_points(degrees: tuple[int, ...]):
-    """All combinations of roots of unity for the start system x_i^{d_i} = 1."""
-    axes = [
-        np.exp(2j * np.pi * np.arange(deg) / deg) for deg in degrees
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def _track_path(ev, degrees, gamma, x0):
-    """Track one path of the blended homotopy from s=0 to s=1.
-
-    Returns ("root", x), ("infinity", None) for a path escaping to infinity
-    (expected whenever the root count is below the Bezout bound),
-    ("collapsed", x) for a step collapse near the end, or ("failed", None)
-    for a genuine tracking failure (step collapse away from the end).
-    """
-    degs = np.asarray(degrees, dtype=float)
-    x = x0.astype(complex)
-    s = 0.0
-    step = _MAX_STEP
-
-    def g_parts(xv):
-        gval = xv ** degs - 1.0
-        gjac = np.diag(degs * xv ** (degs - 1.0))
-        return gval, gjac
-
-    while s < 1.0:
-        ds = min(step, 1.0 - s)
-        fval, fjac = ev(x)
-        gval, gjac = g_parts(x)
-        jac = gamma * (1.0 - s) * gjac + s * fjac
-        try:
-            dx = np.linalg.solve(jac, -(fval - gamma * gval))
-        except np.linalg.LinAlgError:
-            step *= 0.5
-            if step < _MIN_STEP:
-                return "failed", None
-            continue
-        xc = x + dx * ds
-        s_new = s + ds
-        ok = False
-        for it in range(_CORRECTOR_STEPS):
-            fval, fjac = ev(xc)
-            gval, gjac = g_parts(xc)
-            hval = gamma * (1.0 - s_new) * gval + s_new * fval
-            jac = gamma * (1.0 - s_new) * gjac + s_new * fjac
-            try:
-                delta = np.linalg.solve(jac, -hval)
-            except np.linalg.LinAlgError:
-                break
-            xc = xc + delta
-            if np.linalg.norm(delta) < 1e-9 * (1.0 + np.linalg.norm(xc)):
-                ok = True
-                break
-        if ok:
-            x, s = xc, s_new
-            if it == 0:
-                step = min(step * 2.0, _MAX_STEP)
-            if np.linalg.norm(x) > _BLOWUP:
-                return "infinity", None
-        else:
-            step *= 0.5
-            if step < _MIN_STEP:
-                # Step collapse near the end means either a path escaping to
-                # infinity as s -> 1 or a finite root the predictor cannot
-                # reach; the caller polishes the iterate to tell them apart.
-                # Away from the end it is a tracking failure.
-                return ("collapsed", x) if s > 0.99 else ("failed", None)
-    return "root", x
 
 
 @dataclass(frozen=True)
@@ -194,63 +118,75 @@ def _dedup(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return kept
 
 
-def solve_system(system: EpsSystem, seed: int = 0) -> SolutionSet:
-    """Find all isolated roots of E(x) = u by total-degree continuation.
+def _splits(items: tuple[int, ...], d: int):
+    """Every split of ``items`` into a sequence of groups of ``d``, in order."""
+    if not items:
+        yield ()
+        return
+    for group in combinations(items, d):
+        rest = tuple(i for i in items if i not in group)
+        for tail in _splits(rest, d):
+            yield (group,) + tail
 
-    ``seed`` draws the random gamma of the homotopy.
+
+def _candidates(system: EpsSystem) -> list[np.ndarray]:
+    """One weight vector per ordered split of Q's roots into link factors."""
+    n, d = system.n_i, system.d
+    u = np.asarray(system.rhs, dtype=complex)
+    if n == 1:
+        return [u.copy()]  # h_k1 = x_1k: the system is x = u
+    # w_1 = s; the relation 1 = b_1r w_r + b_r1 w_1 gives every other w_r.
+    b = system.stage_relations()
+    w = [Polynomial([0.0, 1.0])] + [
+        Polynomial([1.0, -b[r, 0]]) / b[0, r] for r in range(1, d)
+    ]
+    one = Polynomial([1.0])
+    others = [math.prod((w[m] for m in range(d) if m != k), start=one) for k in range(d)]
+    q_poly = math.prod(w, start=one) ** n
+    for k in range(d):
+        q_poly += others[k] ** n * sum(
+            u[k * n + q - 1] * w[k] ** (n - q) for q in range(1, n + 1)
+        )
+    roots = solve_univariate(q_poly.coef[::-1])
+    lead = np.prod([wk.coef[1] for wk in w])
+    sigma = np.array([-wk.coef[0] / wk.coef[1] for wk in w])
+    denom = np.array([others[k](sigma[k]) for k in range(d)])
+    # x_jk = F_j(sigma_k) / prod_{k' != k} w_k'(sigma_k), with
+    # F_j(s) = lead * prod over the group's roots rho of (s - rho).
+    diffs = sigma[None, :] - roots[:, None]
+    return [
+        np.concatenate([lead * diffs[list(g)].prod(axis=0) / denom for g in split])
+        for split in _splits(tuple(range(n * d)), d)
+    ]
+
+
+def solve_system(system: EpsSystem, seed: int = 0) -> SolutionSet:
+    """Find all isolated roots of E(x) = u by factoring Q(s).
+
+    ``n_paths`` counts the candidate splits and ``n_path_failures`` those
+    whose Newton polish did not converge.  ``seed`` is unused; the solve is
+    deterministic.
     """
-    ev = system.evaluator
-    degrees = system.degrees()
-    if any(deg < 1 for deg in degrees):
-        raise ValueError("every polynomial must have degree >= 1")
-    rng = np.random.default_rng(seed)
-    gamma = np.exp(2j * np.pi * rng.random())
-    starts = _start_points(degrees)
+    candidates = _candidates(system)
     endpoints = []
-    failures = 0
-    diverged = 0
-    for x0 in starts:
-        tag, x_end = _track_path(ev, degrees, gamma, x0)
-        if tag == "infinity":
-            diverged += 1
-            continue
-        if tag == "failed":
-            failures += 1
-            continue
-        ref = newton_refine(system, x_end, tol=_REFINE_TOL, max_iter=_REFINE_MAX_ITER)
+    for x0 in candidates:
+        ref = newton_refine(system, x0, tol=_REFINE_TOL, max_iter=_REFINE_MAX_ITER)
         if ref.converged:
             if ref.suspect:
                 warnings.warn(
                     "root with near-singular Jacobian flagged suspect and kept",
                     stacklevel=2,
                 )
-            endpoints.append((ref.point, ref.residual))
-        elif tag == "collapsed":
-            diverged += 1
-        else:
-            failures += 1
+            endpoints.append(ref.point)
     if not endpoints:
-        raise RuntimeError("all continuation paths failed; system may be degenerate")
-    # Paths diverging to infinity are expected whenever the root count is
-    # below the Bezout bound, so only finite-path losses are diagnosed.
-    if failures > _FAILURE_WARN_FRAC * len(starts):
-        warnings.warn(
-            f"{failures}/{len(starts)} continuation paths failed "
-            f"({diverged} diverged to infinity)",
-            stacklevel=2,
-        )
-    pts = _dedup([p for p, _ in endpoints], _DEDUP_TOL)
-    roots = []
-    residuals = []
-    for p in pts:
-        res = float(np.linalg.norm(ev(p)[0]))
-        roots.append(p)
-        residuals.append(res)
+        raise RuntimeError("no candidate root converged; system may be degenerate")
+    roots = _dedup(endpoints, _DEDUP_TOL)
+    ev = system.evaluator
     return SolutionSet(
         roots=tuple(roots),
-        residuals=tuple(residuals),
-        n_path_failures=failures,
-        n_paths=len(starts),
+        residuals=tuple(float(np.linalg.norm(ev(p)[0])) for p in roots),
+        n_path_failures=len(candidates) - len(endpoints),
+        n_paths=len(candidates),
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from disttomo.epsbuild import (
     CompositionL,
+    EpsSystem,
     SparsePoly,
     assemble_system,
     beta_coeff,
@@ -259,3 +260,23 @@ class TestAssembleSystem:
         t_mat = build_t_tau((0.5, 1.1, 2.3, 4.9), 2, 2, RATES)
         with pytest.raises(ValueError, match="mismatch"):
             assemble_system(polys, t_mat, [1.0, 2.0], n_i=2, d=2)
+
+    def test_stage_relations_hold_at_every_probe_value(self):
+        # z_k z_r = b[k, r] z_k + b[r, k] z_r with z_k = Lambda_k(t) / last,
+        # read off the polynomials of paths of 2 to 4 links.
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            _, d, lambdas = random_instance(rng)
+            n_i = int(rng.integers(2, 5))
+            polys = build_eps(n_i, d, lambdas)
+            system = EpsSystem(
+                polynomials=tuple(polys), rhs=np.zeros(len(polys)), n_i=n_i, d=d
+            )
+            b = system.stage_relations()
+            for t in rng.uniform(0.05, 10.0, 5):
+                z = [lambda_basis(k, t, lambdas) / lambdas[-1] for k in range(1, d + 1)]
+                for k in range(d):
+                    for r in range(k + 1, d):
+                        assert z[k] * z[r] == pytest.approx(
+                            b[k, r] * z[k] + b[r, k] * z[r], rel=1e-9, abs=1e-12
+                        )

@@ -297,6 +297,15 @@ class TestExactMode:
         with pytest.raises(RuntimeError, match="link 0 is not a valid mixture"):
             pipeline.estimate_gh(ONE_LINK, RATES, exact_mixes=[GhMix(RATES, WEIGHTS[0])])
 
+    def test_three_link_path_recovers_truth(self):
+        a = RoutingMatrix(((1, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)))
+        truth = experiments.get_setup("expt3").truth
+        result, diags = pipeline.algebraic_gh(
+            a, RATES, exact_mixes=[GhMix(RATES, tuple(w)) for w in truth]
+        )
+        assert diags[0].n_roots == 90
+        np.testing.assert_allclose(result.weights, truth, atol=1e-6)
+
 
 class TestIdentifiability:
     def test_estimate_gh_rejects_identical_columns(self):

@@ -84,6 +84,7 @@ class TestSolveSystem:
         assert max(sol.residuals) < 1e-8
 
     def test_seed_changes_gamma_not_roots(self):
+        # The seed is unused: any two seeds give the same roots.
         a = solve_system(PATH1, seed=1)
         b = solve_system(PATH1, seed=2)
         assert a.n_roots == b.n_roots
@@ -116,12 +117,33 @@ class TestSolveSystem:
         np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_near_end_step_collapse_keeps_finite_roots(self):
-        # With these probe points and gamma, 4 of the 16 tracks collapse
-        # their step just short of s = 1 at the size of the true roots;
-        # polishing those iterates recovers all 6 roots instead of 2.
+        # Probe points on which a total-degree homotopy once lost 4 of the
+        # 6 roots to tracks whose step collapsed just short of the end; the
+        # factored solve finds all 6.
         tau = mgfest.choose_tau(2, 2, RATES, seed=1004)
         system = exact_system([(0.17, 0.80, 0.03), (0.13, 0.47, 0.40)], tau=tau)
         assert solve_system(system, seed=1004).n_roots == 6
+
+    def test_three_link_path_has_every_split(self):
+        # N = 3, d = 2: the roots are the 6!/(2!)^3 = 90 ordered splits of
+        # Q's six roots into three pairs.
+        weights = [(0.17, 0.80, 0.03), (0.13, 0.47, 0.40), (0.80, 0.15, 0.05)]
+        tau = mgfest.choose_tau(3, 2, RATES, seed=0)
+        sol = solve_system(exact_system(weights, tau=tau))
+        assert sol.n_roots == 90
+        assert sol.n_paths == 90
+        assert sol.n_path_failures == 0
+        x_true = np.concatenate([w[:2] for w in weights])
+        assert min(np.linalg.norm(r - x_true) for r in sol.roots) < 1e-6
+
+    def test_repeated_root_appears_once(self):
+        # Two equal links make every root of Q double: the true root comes
+        # from 4 of the 6 splits and must be kept once, beside the 2 others.
+        system = exact_system([(0.17, 0.80, 0.03), (0.17, 0.80, 0.03)])
+        sol = solve_system(system)
+        assert sol.n_roots == 3
+        x_true = np.array([0.17, 0.80, 0.17, 0.80])
+        assert min(np.linalg.norm(r - x_true) for r in sol.roots) < 1e-6
 
     def test_one_evaluator_per_system(self, monkeypatch):
         built = []
