@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import OptimizeResult
 
 from . import epsbuild, expmeans, match, mgfest, model, polysolve
 
@@ -75,6 +75,37 @@ def _check_samples(a: model.RoutingMatrix, samples) -> None:
             raise ValueError(f"path {i} has negative delays")
 
 
+def _sorted_paths(a: model.RoutingMatrix, samples):
+    """Yield each path's samples sorted, rejecting what ``_check_samples`` rejects.
+
+    The checks read the ends of each sorted path, where -inf sorts first and
+    inf and NaN last, so each path's samples are read once, by their copy
+    into the sort buffer; the errors and their order are ``_check_samples``'s.
+    Every path is sorted into the same buffer, allocated once, so each
+    yielded array is overwritten by the next.
+    """
+    if len(samples) > a.n_paths:
+        raise ValueError(
+            f"samples given for {len(samples)} paths; the routing matrix has {a.n_paths}"
+        )
+    paths = [
+        np.asarray(samples[i], dtype=float) if i < len(samples) else np.empty(0)
+        for i in range(a.n_paths)
+    ]
+    buffer = np.empty(max(y.size for y in paths))
+    for i, y in enumerate(paths):
+        if y.size == 0:
+            raise ValueError(f"path {i} has no samples")
+        ordered = buffer[:y.size]
+        np.copyto(ordered, y)
+        ordered.sort()
+        if not (np.isfinite(ordered[0]) and np.isfinite(ordered[-1])):
+            raise ValueError(f"path {i} has non-finite values")
+        if ordered[0] < 0:
+            raise ValueError(f"path {i} has negative delays")
+        yield ordered
+
+
 def _quantile_edges(y: np.ndarray, n_bins: int) -> np.ndarray:
     """``np.quantile(y, np.linspace(0, 1, n_bins + 1))`` of an already sorted ``y``.
 
@@ -92,7 +123,8 @@ def _quantile_edges(y: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _trust_step(gq, lam, radius):
-    """Minimise ``gq @ p + lam @ p**2 / 2`` over ``|p| <= radius`` exactly.
+    """Minimise ``gq @ p + lam @ p**2 / 2`` over ``|p| <= radius`` exactly,
+    for a batch of subproblems, one per row.
 
     This is the trust-region subproblem in the eigenbasis of the Hessian:
     ``lam`` holds its eigenvalues in ascending order and ``gq`` the gradient's
@@ -100,97 +132,140 @@ def _trust_step(gq, lam, radius):
     ``p(s) = -gq / (lam + s)`` for the least shift ``s >= max(0, -lam[0])``
     that puts it inside the ball (Moré & Sorensen, 1983); on the boundary,
     ``s`` solves the secular equation ``1/|p(s)| = 1/radius`` by Newton
-    steps.  Returns the step, in the eigenbasis, and whether it lies on the
-    boundary.
+    steps.  Returns the steps, in the eigenbasis, and whether each lies on
+    the boundary.
     """
-    if lam[0] > 0:
-        p = -gq / lam
-        if p @ p <= radius * radius:
-            return p, False
-    lo = max(0.0, -lam[0])
-    if lam[0] <= 0:
-        tiny = 1e-12 * max(lo, lam[-1])
-        pole = lam + lo <= tiny
-        p = -gq / np.where(pole, 1.0, lam + lo)
-        p[pole] = 0.0
-        slack = radius * radius - p @ p
-        if slack > 0 and np.linalg.norm(gq[pole]) <= tiny * math.sqrt(slack):
-            # The hard case: the gradient has (next to) no part along the
-            # lowest curvature, so the shift sits at the pole; move along
-            # its eigenvector to reach the boundary.
-            p[0] = -math.copysign(math.sqrt(slack), gq[0])
-            return p, True
-    # Start at a shift no larger than the root, where one component alone
-    # reaches the radius: 1/|p(s)| is concave in s, so Newton steps from
-    # there rise monotonically to the root.  The loop runs on Python floats,
-    # which beat numpy calls on vectors this short.
-    terms = [(lk, gk * gk) for lk, gk in zip(lam.tolist(), gq.tolist()) if gk != 0.0]
-    s = max(lo, max(math.sqrt(g2) / radius - lk for lk, g2 in terms))
-    for _ in range(50):
-        norm2 = slope = 0.0
-        for lk, g2 in terms:
-            inv = 1.0 / (lk + s)
-            norm2 += g2 * inv * inv
-            slope += g2 * inv * inv * inv
-        norm = math.sqrt(norm2)
-        if norm - radius <= 1e-9 * radius:
-            break
-        s += norm2 * (norm - radius) / (radius * slope)
-    return np.divide(-gq, lam + s, out=np.zeros_like(gq), where=gq != 0.0), True
+    r2 = radius * radius
+    lo = np.maximum(0.0, -lam[:, 0])
+    shifted = lam + lo[:, None]
+    indefinite = lam[:, 0] <= 0
+    tiny = 1e-12 * np.maximum(lo, lam[:, -1])
+    pole = (shifted <= tiny[:, None]) & indefinite[:, None]
+    p = -gq / np.where(pole, 1.0, shifted)
+    p[pole] = 0.0
+    slack = r2 - (p * p).sum(axis=1)
+    boundary = indefinite | (slack < 0)
+    # The hard case: the gradient has (next to) no part along the lowest
+    # curvature, so the shift sits at the pole; move along its eigenvector
+    # to reach the boundary.
+    hard = indefinite & (slack > 0)
+    hard[hard] = (
+        np.linalg.norm(np.where(pole[hard], gq[hard], 0.0), axis=1)
+        <= tiny[hard] * np.sqrt(slack[hard])
+    )
+    p[hard, 0] = -np.copysign(np.sqrt(slack[hard]), gq[hard, 0])
+    rows = np.flatnonzero(boundary & ~hard)
+    if rows.size:
+        # Start at a shift no larger than the root, where one component alone
+        # reaches the radius: 1/|p(s)| is concave in s, so Newton steps from
+        # there rise monotonically to the root.
+        g, r = gq[rows], radius[rows]
+        g2 = g * g
+        # an infinite eigenvalue zeroes the terms of components without gradient
+        l = np.where(g != 0.0, lam[rows], np.inf)
+        s = np.maximum(lo[rows], (np.sqrt(g2) / r[:, None] - l).max(axis=1))
+        # Each row's shift stops where its own norm reaches the radius.  A
+        # radius so small that radius * slope underflows gives an infinite
+        # shift and so a zero step, for which the model predicts no decrease.
+        for _ in range(50):
+            inv = 1.0 / (l + s[:, None])
+            terms = g2 * inv * inv
+            norm2 = terms.sum(axis=1)
+            norm = np.sqrt(norm2)
+            more = ~(norm - r <= 1e-9 * r)
+            if not more.any():
+                break
+            slope = (terms * inv).sum(axis=1)
+            with np.errstate(divide="ignore"):
+                s = s + np.divide(norm2 * (norm - r), r * slope, out=np.zeros_like(s),
+                                  where=more)
+        p[rows] = np.divide(-g, lam[rows] + s[:, None], out=np.zeros_like(g), where=g != 0.0)
+    return p, boundary
 
 
-def _trust_newton(fun, x0, jac, hess, **_):
-    """Trust-region Newton minimisation with exact subproblem solves.
+def _trust_newton(fun, x0, hess):
+    """Trust-region Newton minimisation from a batch of starts, with exact
+    subproblem solves.
 
-    A ``scipy.optimize.minimize`` method.  Each iteration takes the exact
-    minimiser of the local quadratic model within the trust radius
-    (``_trust_step`` on one ``eigh`` of the Hessian).  The radius follows
-    scipy's trust-region rule: it starts at 1, shrinks by 4 when the actual
+    ``x0`` holds one start per row.  ``fun`` maps an (S, k) batch of points
+    to their values (S,) and gradients (S, k), and ``hess`` to their
+    Hessians (S, k, k).  All starts advance together: each iteration takes
+    one batched ``eigh`` of the active starts' Hessians, solves their
+    trust-region subproblems (``_trust_step``), evaluates every trial point
+    in one ``fun`` call and the Hessians of the accepted ones in one
+    ``hess`` call.  A start stops on its own and is masked out of later
+    calls.  The optimizer's arithmetic on a row does not depend on the other
+    rows, so when ``fun`` and ``hess`` evaluate each row as they would alone,
+    as the likelihood fit's objective does, a start's result is the one it
+    gets alone.
+
+    Per start, each iteration takes the exact minimiser of the local
+    quadratic model within the trust radius.  The radius follows scipy's
+    trust-region rule: it starts at 1, shrinks by 4 when the actual
     reduction is under a quarter of the predicted one, and doubles, up to
     1000, when it is over three quarters with the step on the boundary.
     The step is taken when that ratio exceeds 0.15; a non-finite value at
     the trial point rejects it.  When the Hessian is positive definite and
     the Newton decrement ``grad @ H^-1 @ grad / 2`` is under 1e-8, the full
-    Newton step is the last one.  ``nit`` counts the steps tried, ``nfev``
-    the points ``fun`` was evaluated at and ``nhev`` the Hessians.
+    Newton step is the last one.  A start also stops when the model predicts
+    no decrease or after 200 steps.
+
+    Returns an ``OptimizeResult`` whose fields hold one entry per start:
+    ``x``, ``fun``, ``jac``, ``success``, ``status``, ``message``, and the
+    counts ``nit`` (steps tried), ``nfev`` (points ``fun`` was evaluated
+    at) and ``nhev`` (Hessians).
     """
     x = np.array(x0, dtype=float)
-    f, nfev = fun(x), 1
-    g, h, nhev = jac(x), hess(x), 1
-    radius, success, message = 1.0, False, "iteration limit reached"
-    nit = 0
-    while nit < 200:
-        lam, vec = np.linalg.eigh(h)
-        gq = vec.T @ g
-        if lam[0] > 0 and gq @ (gq / lam) < 2e-8:
-            nit += 1
-            x_try = x - vec @ (gq / lam)
-            f_try, nfev = fun(x_try), nfev + 1
-            # Compared with f, a change this small is rounding: take the step
-            # unless it left the domain.
-            if np.isfinite(f_try):
-                x, f, g = x_try, f_try, jac(x_try)
-            success, message = True, "Newton decrement below 1e-8"
+    n_s = x.shape[0]
+    f, g = (np.array(v, dtype=float) for v in fun(x))
+    h = np.array(hess(x), dtype=float)
+    radius = np.ones(n_s)
+    nit = np.zeros(n_s, dtype=int)
+    nfev, nhev = np.ones(n_s, dtype=int), np.ones(n_s, dtype=int)
+    success = np.zeros(n_s, dtype=bool)
+    message = ["iteration limit reached"] * n_s
+    active = np.arange(n_s)
+    while active.size:
+        lam, vec = np.linalg.eigh(h[active])
+        gq = np.matmul(g[active, None, :], vec)[:, 0]
+        newton = gq / np.where(lam[:, :1] > 0, lam, 1.0)
+        final = (lam[:, 0] > 0) & ((gq * newton).sum(axis=1) < 2e-8)
+        p, on_boundary = -newton, np.zeros(active.size, dtype=bool)
+        rest = ~final
+        p[rest], on_boundary[rest] = _trust_step(gq[rest], lam[rest], radius[active[rest]])
+        predicted = -((gq * p).sum(axis=1) + 0.5 * (lam * p * p).sum(axis=1))
+        tried = final | (predicted > 0)
+        for i in active[~tried]:
+            message[i] = "the quadratic model predicts no decrease"
+        rows, ended = active[tried], final[tried]
+        if not rows.size:
             break
-        p, on_boundary = _trust_step(gq, lam, radius)
-        predicted = -(gq @ p + 0.5 * (lam @ (p * p)))
-        if not predicted > 0:
-            message = "the quadratic model predicts no decrease"
-            break
-        nit += 1
-        x_try = x + vec @ p
-        f_try, nfev = fun(x_try), nfev + 1
-        rho = (f - f_try) / predicted if np.isfinite(f_try) else -np.inf
-        if rho < 0.25:
-            radius *= 0.25
-        elif rho > 0.75 and on_boundary:
-            radius = min(2.0 * radius, 1000.0)
-        if rho > 0.15:
-            x, f = x_try, f_try
-            g, h, nhev = jac(x), hess(x), nhev + 1
+        nit[rows] += 1
+        nfev[rows] += 1
+        x_try = x[rows] + np.matmul(vec[tried], p[tried, :, None])[:, :, 0]
+        f_try, g_try = fun(x_try)
+        finite = np.isfinite(f_try)
+        rho = np.full(rows.size, -np.inf)
+        scored = finite & ~ended
+        rho[scored] = (f[rows[scored]] - f_try[scored]) / predicted[tried][scored]
+        radius[rows[~ended & (rho < 0.25)]] *= 0.25
+        grow = rows[~ended & (rho > 0.75) & on_boundary[tried]]
+        radius[grow] = np.minimum(2.0 * radius[grow], 1000.0)
+        # Compared with f, a change as small as a final step's is rounding:
+        # take it unless it left the domain.
+        take = np.where(ended, finite, rho > 0.15)
+        x[rows[take]], f[rows[take]], g[rows[take]] = x_try[take], f_try[take], g_try[take]
+        taken = take & ~ended
+        if taken.any():
+            h[rows[taken]] = hess(x_try[taken])
+            nhev[rows[taken]] += 1
+        success[rows[ended]] = True
+        for i in rows[ended]:
+            message[i] = "Newton decrement below 1e-8"
+        active = rows[~ended & (nit[rows] < 200)]
     return OptimizeResult(
-        x=x, fun=f, jac=g, nit=nit, nfev=nfev, nhev=nhev,
-        success=success, status=0 if success else 1, message=message,
+        x=x, fun=f, jac=g, nit=nit, nfev=nfev, nhev=nhev, success=success,
+        status=np.where(success, 0, 1), message=message,
     )
 
 
@@ -204,7 +279,10 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     best-likelihood fit is returned.  This squeezes the full per-sample
     information out of the data, unlike the handful of MGF evaluations the
     polynomial stage consumes.  The bin edges are the samples' quantiles,
-    read off each path's sorted samples by ``_quantile_edges``.
+    read off each path's sorted samples by ``_quantile_edges``; the samples
+    are checked and sorted by ``_sorted_paths``.  A bin's probability under
+    a stage assignment depends only on the multiset of its rates, so each
+    path's hypoexponential CDF is computed once per multiset.
 
     The fit runs from seven starts, the uniform weights and the first six
     Dirichlet draws seeded by ``seed``, and keeps the best.  Restarts
@@ -216,25 +294,32 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     nats of the best of seventeen every time, and two runs needed the sixth
     start.  ``scripts/start_census.py`` repeats that census.
 
-    Each start is a trust-region Newton fit (``_trust_newton``) on the exact
-    Hessian: with n*d free weights, at most a dozen on the bundled
-    topologies, the Hessian costs about one more batched matmul than the
-    gradient, and a start converges in 10-20 steps.
+    The seven starts advance together as one batch of trust-region Newton
+    fits (``_trust_newton``) on the exact Hessian: with n*d free weights, at
+    most a dozen on the bundled topologies, the Hessian costs about one
+    more batched matmul than the gradient, and a start converges in 10-20
+    steps.  Each iteration makes one objective call for all active starts
+    and one Hessian call for those whose step was taken.
 
     The objective is evaluated in stacked form, so its numpy call count does
-    not grow with the number of paths.  Paths are grouped by link count N,
-    and each group's hypoexponential tables are stacked once into a
+    not grow with the number of paths or starts; the starts stay a batch
+    axis of every product, so each start's values are computed exactly as
+    they would be alone.  Paths are grouped by link
+    count N, and each group's hypoexponential tables are stacked once into a
     (P, (d+1)^N, bins) array, shorter paths padded with zero-count bins.
     Each position's derivative dp/dw_k of a path's bin probabilities is the
     Kronecker product of the other positions' weight vectors times its
     table, with k's axis moved next to the bins: one batched ``matmul``
-    gives all of them.  The probabilities are position 0's derivative
-    times its weights, the gradient is the derivatives times the
-    count/probability ratio, and ``np.add.at`` sums it into the links.  The
-    Hessian reuses those arrays: the derivatives weighted by count/p^2 give
-    its Gauss-Newton part in one ``matmul``, and since p is multilinear the
-    only second derivatives pair two positions, the tables times the ratio
-    contracted against the remaining positions' weights.
+    gives all of them, for every start.  The probabilities are position 0's
+    derivative times its weights, and the gradient is the derivatives times
+    the count/probability ratio, carried to the free weights by one matmul
+    with the group's constant Jacobian (+1 on a free weight, -1 on the last
+    stage's, which is one minus the others).  The Hessian reuses those
+    arrays: the derivatives weighted by count/p^2 give its Gauss-Newton
+    part in one ``matmul``, and since p is multilinear the only second
+    derivatives pair two positions, the tables times the ratio contracted
+    against the remaining positions' weights; the Jacobian carries it to
+    the free weights on both sides.
 
     Bin probabilities are floored at 1e-12 (with the derivatives masked there)
     so a handful of tail outliers the rate model cannot explain contribute
@@ -252,19 +337,23 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     dens_basis = lam[:, None] * np.exp(-np.outer(lam, u_grid))  # (d+1, grid)
     penalty_coeff = 1e8
     floor = 1e-12
+    # a link's full weights as a function of its free ones: d(w)/d(w_free)
+    lift = np.vstack([np.eye(d), -np.ones((1, d))])  # (d+1, d)
     by_length: dict[int, list] = {}
-    for i in range(a.n_paths):
+    for i, y in enumerate(_sorted_paths(a, samples)):
         links = sorted(a.path_links(i))
-        y = np.sort(np.asarray(samples[i], dtype=float))
         edges = np.unique(_quantile_edges(y, n_bins)[:-1])
         edges[0] = 0.0
         counts = np.diff(np.append(np.searchsorted(y, edges), y.size))
-        table = np.empty(((d + 1) ** len(links), len(edges)))
-        for row, assign in enumerate(product(range(d + 1), repeat=len(links))):
-            cdf = model.hypoexp_cdf([lam[s] for s in assign], edges)
-            table[row] = np.diff(np.append(cdf, 1.0))
+        rows = {
+            stages: np.diff(np.append(model.hypoexp_cdf(lam[list(stages)], edges), 1.0))
+            for stages in combinations_with_replacement(range(d + 1), len(links))
+        }
+        table = np.array([
+            rows[tuple(sorted(assign))] for assign in product(range(d + 1), repeat=len(links))
+        ])
         by_length.setdefault(len(links), []).append((links, counts, table))
-    del y  # the last sorted copy need not live through the fit
+    del y  # the sort buffer need not live through the fit
 
     # Stack the paths of each link count N; zero-count padding bins add
     # nothing to the likelihood or its derivatives.
@@ -287,95 +376,100 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
         others = np.array([[q for q in range(n_i) if q != k] for k in range(n_i)], dtype=np.intp)
         axes = "abcdefghijklmnopqrstuvwxyz"[:n_i]
         pair_subscripts = [
-            ((k, m), ",".join(["p" + axes] + ["p" + axes[q] for q in range(n_i)
-                                              if q not in (k, m)])
-             + "->p" + axes[k] + axes[m])
+            ((k, m), ",".join(["..." + axes] + ["..." + axes[q] for q in range(n_i)
+                                                if q not in (k, m)])
+             + "->..." + axes[k] + axes[m])
             for k in range(n_i) for m in range(k + 1, n_i)
         ]
         link_idx = np.array([links for links, _, _ in members])
-        # each path's weights' rows among all links' full weights
-        flat = (link_idx[:, :, None] * (d + 1) + np.arange(d + 1)).reshape(n_p, -1)
-        groups.append((link_idx, counts, tables, moved, others, pair_subscripts, flat))
+        # d(each path's full weights)/d(all links' free weights), one row per
+        # (path, position, stage)
+        jac = np.zeros((n_p, n_i, d + 1, n, d))
+        jac[np.arange(n_p)[:, None], np.arange(n_i), :, link_idx] = lift
+        jac = jac.reshape(n_p, n_i * (d + 1), n * d)
+        groups.append((link_idx, counts, tables, moved, others, pair_subscripts, jac))
 
-    # what the latest nll_and_grad call computed, for nll_hess at the same x
+    # what the latest nll_and_grad call computed, for nll_hess at its points
     latest: dict = {}
 
     def nll_and_grad(x):
-        w_free = x.reshape(n, d)
-        w_full = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
-        total = 0.0
-        grad = np.zeros(n * (d + 1))  # over all links' full weights
+        n_s = x.shape[0]
+        w_full = np.empty((n_s, n, d + 1))
+        w_full[:, :, :d] = x.reshape(n_s, n, d)
+        w_full[:, :, d] = 1.0 - w_full[:, :, :d].sum(axis=2)
+        total = np.zeros(n_s)
+        grad = np.zeros((n_s, n * d))
         shared = []
-        for link_idx, counts, _, moved, others, _, flat in groups:
+        for link_idx, counts, _, moved, others, _, jac in groups:
             n_p, n_i = link_idx.shape
-            w = w_full[link_idx]  # (P, N, d+1)
-            rest = w[:, others]  # (P, N, N-1, d+1)
-            kron = np.ones((n_p, n_i, 1))
+            w = w_full[:, link_idx]  # (S, P, N, d+1)
+            rest = w[:, :, others]  # (S, P, N, N-1, d+1)
+            kron = np.ones((n_s, n_p, n_i, 1))
             for j in range(n_i - 1):
-                kron = (kron[..., None] * rest[:, :, j, None, :]).reshape(n_p, n_i, -1)
-            dprobs = np.matmul(kron[:, :, None, :], moved).reshape(n_p, n_i * (d + 1), -1)
-            probs = np.matmul(w[:, 0, None, :], dprobs[:, :d + 1])[:, 0]  # (P, bins)
+                kron = (kron[..., None] * rest[:, :, :, j, None, :]).reshape(n_s, n_p, n_i, -1)
+            dprobs = np.matmul(kron[..., None, :], moved).reshape(n_s, n_p, n_i * (d + 1), -1)
+            probs = np.matmul(w[:, :, 0, None, :], dprobs[:, :, :d + 1])[:, :, 0]  # (S, P, bins)
             clamped = np.maximum(probs, floor)
-            total -= np.vdot(counts, np.log(clamped))
+            log_p = np.log(clamped).reshape(n_s, 1, -1)
+            total -= np.matmul(log_p, counts.reshape(-1, 1))[:, 0, 0]
             ratio = np.where(probs > floor, counts / clamped, 0.0)
-            np.add.at(grad, flat, -np.matmul(dprobs, ratio[:, :, None])[:, :, 0])
+            dnll = np.matmul(dprobs, ratio[..., None]).reshape(n_s, 1, -1)
+            grad -= np.matmul(dnll, jac.reshape(-1, n * d))[:, 0]
             shared.append((w, clamped, ratio, dprobs))
-        grad = grad.reshape(n, d + 1)
-        dens = w_full @ dens_basis  # (N, grid)
+        dens = w_full @ dens_basis  # (S, N, grid)
         neg = np.minimum(dens, 0.0)
-        total += penalty_coeff * float((neg * neg).sum())
-        grad += 2.0 * penalty_coeff * (neg @ dens_basis.T)
-        g_free = grad[:, :d] - grad[:, d:]
+        total += penalty_coeff * (neg * neg).sum(axis=(1, 2))
+        grad += (2.0 * penalty_coeff * (neg @ dens_basis.T) @ lift).reshape(n_s, -1)
         latest.update(x=x.copy(), shared=shared, dens=dens)
-        return total, g_free.ravel()
+        return total, grad
 
     def nll_hess(x):
-        if not np.array_equal(x, latest.get("x")):
+        n_s = x.shape[0]
+        cached = latest.get("x")
+        found = (x[:, None, :] == cached[None]).all(axis=2) if cached is not None else None
+        if found is None or not found.any(axis=1).all():
             nll_and_grad(x)
-        hess = np.zeros((n * (d + 1), n * (d + 1)))
-        for group, (w, clamped, ratio, dprobs) in zip(groups, latest["shared"]):
-            link_idx, _, tables, _, _, pair_subs, flat = group
+            found = np.eye(n_s, dtype=bool)
+        rows = found.argmax(axis=1)
+        if np.array_equal(rows, np.arange(latest["x"].shape[0])):
+            rows = slice(None)  # every row of the latest batch: no copies
+        hess = np.zeros((n_s, n * d, n * d))
+        for group, arrays in zip(groups, latest["shared"]):
+            link_idx, _, tables, _, _, pair_subs, jac = group
+            w, clamped, ratio, dprobs = (arr[rows] for arr in arrays)
             n_p, n_i = link_idx.shape
             # Gauss-Newton part: sum over bins of counts/p^2 dp dp^T
-            block = np.matmul(dprobs * (ratio / clamped)[:, None, :], dprobs.transpose(0, 2, 1))
+            block = np.matmul(dprobs * (ratio / clamped)[:, :, None, :], dprobs.swapaxes(2, 3))
             # p is multilinear, so the only second derivatives pair two
             # positions: the tables times the ratio, contracted against the
             # remaining positions' weights
             if pair_subs:
-                r = np.matmul(tables, ratio[:, :, None]).reshape((n_p,) + (d + 1,) * n_i)
+                r = np.matmul(tables, ratio[..., None]).reshape((n_s, n_p) + (d + 1,) * n_i)
             for (k, m), sub in pair_subs:
-                cross = np.einsum(sub, r, *(w[:, q] for q in range(n_i) if q not in (k, m)))
-                rows = slice(k * (d + 1), (k + 1) * (d + 1))
-                cols = slice(m * (d + 1), (m + 1) * (d + 1))
-                block[:, rows, cols] -= cross
-                block[:, cols, rows] -= cross.transpose(0, 2, 1)
-            np.add.at(hess, (flat[:, :, None], flat[:, None, :]), block)
-        full = hess.reshape(n, d + 1, n, d + 1)
-        neg = (latest["dens"] < 0.0)[:, None, :]  # (N, 1, grid)
+                cross = np.einsum(sub, r, *(w[:, :, q] for q in range(n_i) if q not in (k, m)))
+                rows_k = slice(k * (d + 1), (k + 1) * (d + 1))
+                cols_m = slice(m * (d + 1), (m + 1) * (d + 1))
+                block[:, :, rows_k, cols_m] -= cross
+                block[:, :, cols_m, rows_k] -= cross.swapaxes(2, 3)
+            hess += jac.reshape(-1, n * d).T @ np.matmul(block, jac).reshape(n_s, -1, n * d)
+        neg = latest["dens"][rows] < 0.0  # (S, N, grid)
         if neg.any():
+            curv = 2.0 * penalty_coeff * ((dens_basis * neg[:, :, None, :]) @ dens_basis.T)
             links = np.arange(n)
-            full[links, :, links, :] += 2.0 * penalty_coeff * ((dens_basis * neg) @ dens_basis.T)
-        free = full[:, :d, :, :d] - full[:, :d, :, d:] - full[:, d:, :, :d] + full[:, d:, :, d:]
-        return free.reshape(n * d, n * d)
+            hess.reshape(n_s, n, d, n, d)[:, links, :, links, :] += (
+                lift.T @ curv @ lift
+            ).swapaxes(0, 1)
+        return hess
 
     rng = np.random.default_rng(seed)
-    starts = [np.full((n, d), 1.0 / (d + 1))] + [
+    starts = np.array([np.full((n, d), 1.0 / (d + 1))] + [
         rng.dirichlet(np.ones(d + 1), size=n)[:, :d] for _ in range(n_starts)
-    ]
-    best_x, best_val = None, np.inf
-    for base in starts:
-        fit = minimize(
-            nll_and_grad,
-            np.asarray(base, dtype=float).ravel(),
-            jac=True,
-            hess=nll_hess,
-            method=_trust_newton,
-        )
-        if fit.fun < best_val:
-            best_x, best_val = fit.x, fit.fun
-    if best_x is None:
+    ]).reshape(n_starts + 1, n * d)
+    fits = _trust_newton(nll_and_grad, starts, nll_hess)
+    values = np.where(np.isnan(fits.fun), np.inf, fits.fun)
+    if not (values < np.inf).any():
         raise RuntimeError("likelihood polish failed from every starting point")
-    return best_x.reshape(n, d)
+    return fits.x[np.argmin(values)].reshape(n, d)
 
 
 def algebraic_gh(
@@ -488,7 +582,6 @@ def estimate_gh(
             "or exact_mixes); the likelihood fit on samples uses neither"
         )
     _check_identifiable(a)
-    _check_samples(a, samples)
     w_free = _likelihood_polish(a, lambdas, samples, opts.solver_seed)
     weights = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
     error_norm = None

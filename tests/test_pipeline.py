@@ -39,15 +39,15 @@ class _Captured(Exception):
 
 
 def _objective(monkeypatch, a, rates, samples):
-    """The likelihood fit's objective and Hessian, taken from its first
-    ``minimize`` call."""
+    """The likelihood fit's batched objective and Hessian, taken from its
+    ``_trust_newton`` call."""
     captured = []
 
-    def capture(fun, x0, **kwargs):
-        captured.append((fun, kwargs["hess"]))
+    def capture(fun, x0, hess):
+        captured.append((fun, hess))
         raise _Captured
 
-    monkeypatch.setattr(pipeline, "minimize", capture)
+    monkeypatch.setattr(pipeline, "_trust_newton", capture)
     with pytest.raises(_Captured):
         pipeline._likelihood_polish(a, rates, samples, seed=0)
     return captured[0]
@@ -73,12 +73,10 @@ class TestLikelihoodObjective:
         h = 1e-6
         for _ in range(5):
             x = rng.dirichlet(np.ones(3), size=a.n_links)[:, :2].ravel()
-            _, grad = fun(x)
+            _, grad = fun(x[None])
             steps = h * np.eye(x.size)
-            numeric = np.array(
-                [(fun(x + e)[0] - fun(x - e)[0]) / (2 * h) for e in steps]
-            )
-            assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+            numeric = (fun(x + steps)[0] - fun(x - steps)[0]) / (2 * h)
+            assert np.linalg.norm(grad[0] - numeric) <= 1e-6 * np.linalg.norm(grad[0])
 
     def test_hessian_matches_central_differences(self, monkeypatch):
         a = self.MIXED
@@ -87,23 +85,44 @@ class TestLikelihoodObjective:
         h = 1e-6
         for _ in range(5):
             x = rng.dirichlet(np.ones(3), size=a.n_links)[:, :2].ravel()
-            analytic = hess(x)
+            analytic = hess(x[None])[0]
             steps = h * np.eye(x.size)
-            numeric = np.array(
-                [(fun(x + e)[1] - fun(x - e)[1]) / (2 * h) for e in steps]
-            )
+            numeric = (fun(x + steps)[1] - fun(x - steps)[1]) / (2 * h)
             assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(analytic)
+
+    def test_batch_rows_equal_lone_rows_with_the_penalty_active(self, monkeypatch):
+        a = self.MIXED
+        fun, hess = _objective(monkeypatch, a, RATES, self._samples())
+        x = np.random.default_rng(6).dirichlet(np.ones(3), size=(2, a.n_links))[..., :2]
+        # link 0 of the first row puts weight -0.1 on the slowest stage, so
+        # its density is negative in the tail and the penalty is active
+        x[0, 0] = (0.5, 0.6)
+        x = x.reshape(2, -1)
+        values, grads = fun(x)
+        hessians = hess(x)
+        # each row is evaluated exactly as it would be alone, so a start's
+        # fit does not depend on the other starts of its batch
+        for row in range(2):
+            (v,), (g,) = fun(x[row:row + 1])
+            assert v == values[row]
+            np.testing.assert_array_equal(grads[row], g)
+            np.testing.assert_array_equal(hessians[row], hess(x[row:row + 1])[0])
+        h = 1e-6
+        steps = h * np.eye(x.shape[1])
+        numeric = (fun(x[0] + steps)[1] - fun(x[0] - steps)[1]) / (2 * h)
+        assert np.linalg.norm(hessians[0] - numeric) <= 1e-6 * np.linalg.norm(hessians[0])
 
     def test_stacked_paths_add_up_to_single_paths(self, monkeypatch):
         a, samples = self.MIXED, self._samples()
         fun, _ = _objective(monkeypatch, a, RATES, samples)
         x = np.random.default_rng(4).dirichlet(np.ones(3), size=a.n_links)[:, :2]
-        value, grad = fun(x.ravel())
+        (value,), (grad,) = fun(x.reshape(1, -1))
         total, total_grad = 0.0, np.zeros_like(x)
         for i in range(a.n_paths):
             links = sorted(a.path_links(i))
             one_path = RoutingMatrix(((1,) * len(links),))
-            v, g = _objective(monkeypatch, one_path, RATES, [samples[i]])[0](x[links].ravel())
+            path_fun = _objective(monkeypatch, one_path, RATES, [samples[i]])[0]
+            (v,), (g,) = path_fun(x[links].reshape(1, -1))
             total += v
             total_grad[links] += g.reshape(len(links), 2)
         assert value == pytest.approx(total, rel=1e-12)
@@ -114,16 +133,18 @@ class TestLikelihoodStartsAndEdges:
     def test_seven_starts_uniform_then_seeded_dirichlet(self, monkeypatch):
         mixes = [GhMix(RATES, w) for w in WEIGHTS]
         samples = sample_paths(EXPT1, mixes, 20_000, seed=0).samples
-        real_minimize = pipeline.minimize
-        x0s = []
+        real_trust_newton = pipeline._trust_newton
+        batches = []
 
-        def record(fun, x0, **kwargs):
-            x0s.append(np.array(x0))
-            return real_minimize(fun, x0, **kwargs)
+        def record(fun, x0, hess):
+            batches.append(np.array(x0))
+            return real_trust_newton(fun, x0, hess)
 
-        monkeypatch.setattr(pipeline, "minimize", record)
+        monkeypatch.setattr(pipeline, "_trust_newton", record)
         seed, n, d = 7, EXPT1.n_links, len(RATES) - 1
         pipeline._likelihood_polish(EXPT1, RATES, samples, seed=seed)
+        assert len(batches) == 1  # one batch holds every start
+        x0s = batches[0]
         assert len(x0s) == 7
         assert np.array_equal(x0s[0], np.full(n * d, 1.0 / (d + 1)))
         rng = np.random.default_rng(seed)
@@ -139,24 +160,25 @@ class TestLikelihoodStartsAndEdges:
 
 
 class TestTrustNewton:
-    """``_trust_newton`` as a ``minimize`` method on small known functions."""
+    """``_trust_newton`` on small known functions, one start per row."""
 
     @staticmethod
-    def _run(fun, hess, x0):
-        """Minimise, recording every point ``fun`` and ``hess`` are called at."""
+    def _run(fun, hess, x0s):
+        """Minimise from every start of ``x0s`` in one batch, recording each
+        point ``fun`` and ``hess`` are called at."""
         points, hessians = [], []
 
         def value_and_grad(x):
-            points.append(np.array(x))
-            return fun(x)
+            points.extend(np.array(x))
+            values, grads = zip(*(fun(row) for row in x))
+            return np.array(values), np.array(grads)
 
         def hessian(x):
-            hessians.append(np.array(x))
-            return hess(x)
+            hessians.extend(np.array(x))
+            return np.array([hess(row) for row in x])
 
-        fit = pipeline.minimize(
-            value_and_grad, np.asarray(x0, dtype=float), jac=True, hess=hessian,
-            method=pipeline._trust_newton,
+        fit = pipeline._trust_newton(
+            value_and_grad, np.asarray(x0s, dtype=float), hessian
         )
         return fit, points, hessians
 
@@ -167,15 +189,17 @@ class TestTrustNewton:
         def fun(x):
             return 0.5 * (x - c) @ a @ (x - c), a @ (x - c)
 
-        fit, points, _ = self._run(fun, lambda x: a, np.zeros(3))
-        assert fit.success
+        fit, points, _ = self._run(fun, lambda x: a, [np.zeros(3)])
+        assert fit.success[0]
         # the first step lands on the minimum; the second, closing Newton
         # step is empty
         np.testing.assert_allclose(points[1], c, atol=1e-14)
-        np.testing.assert_allclose(fit.x, c, atol=1e-14)
-        assert fit.nit == 2
+        np.testing.assert_allclose(fit.x[0], c, atol=1e-14)
+        assert fit.nit[0] == 2
 
     # x^2 - y^2 + y^4 / 4: a saddle at the origin, minima at (0, +-sqrt 2)
+    SADDLE_STARTS = [(0.0, 0.0), (0.5, 0.0), (0.3, 0.1), (-0.2, -0.05)]
+
     @staticmethod
     def _saddle(x):
         return (
@@ -187,19 +211,19 @@ class TestTrustNewton:
     def _saddle_hess(x):
         return np.diag([2.0, -2.0 + 3 * x[1] ** 2])
 
-    @pytest.mark.parametrize("x0", [(0.0, 0.0), (0.5, 0.0), (0.3, 0.1), (-0.2, -0.05)])
+    @pytest.mark.parametrize("x0", SADDLE_STARTS)
     def test_leaves_saddles_and_negative_curvature(self, x0):
-        fit, _, _ = self._run(self._saddle, self._saddle_hess, x0)
-        assert fit.success
-        assert np.linalg.eigvalsh(self._saddle_hess(fit.x)).min() > 0
-        assert np.linalg.norm(self._saddle(fit.x)[1]) < 1e-8
-        np.testing.assert_allclose(np.abs(fit.x), [0.0, np.sqrt(2.0)], atol=1e-8)
+        fit, _, _ = self._run(self._saddle, self._saddle_hess, [x0])
+        assert fit.success[0]
+        assert np.linalg.eigvalsh(self._saddle_hess(fit.x[0])).min() > 0
+        assert np.linalg.norm(self._saddle(fit.x[0])[1]) < 1e-8
+        np.testing.assert_allclose(np.abs(fit.x[0]), [0.0, np.sqrt(2.0)], atol=1e-8)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_rejects_non_finite_trial_values(self, bad):
-        # sqrt(1 + (x - 1)^2) + y^2 / 2, undefined beyond |(x, y)| = 1.05: the
-        # curvature is low at the start, so the first step, of the initial
-        # radius 1, leaves the domain
+    # sqrt(1 + (x - 1)^2) + y^2 / 2, undefined beyond |(x, y)| = 1.05: the
+    # curvature is low at (0.1, 0), so the first step from there, of the
+    # initial radius 1, leaves the domain
+    @staticmethod
+    def _fenced(bad):
         def fun(x):
             if np.linalg.norm(x) > 1.05:
                 return bad, np.full(2, bad)
@@ -210,24 +234,92 @@ class TestTrustNewton:
         def hess(x):
             return np.diag([(1.0 + (x[0] - 1.0) ** 2) ** -1.5, 1.0])
 
-        fit, points, _ = self._run(fun, hess, (0.1, 0.0))
+        return fun, hess
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_trial_values(self, bad):
+        fun, hess = self._fenced(bad)
+        fit, points, _ = self._run(fun, hess, [(0.1, 0.0)])
         values = np.array([fun(x)[0] for x in points])
         assert not np.isfinite(values[1])
-        assert fit.success and np.isfinite(fit.fun)
-        np.testing.assert_allclose(fit.x, [1.0, 0.0], atol=1e-6)
+        assert fit.success[0] and np.isfinite(fit.fun[0])
+        np.testing.assert_allclose(fit.x[0], [1.0, 0.0], atol=1e-6)
 
     def test_counts_what_was_done(self):
         from scipy.optimize import rosen, rosen_der, rosen_hess
 
         fit, points, hessians = self._run(
-            lambda x: (rosen(x), rosen_der(x)), rosen_hess, (-1.2, 1.0)
+            lambda x: (rosen(x), rosen_der(x)), rosen_hess, [(-1.2, 1.0)]
         )
-        assert fit.success
-        np.testing.assert_allclose(fit.x, np.ones(2), atol=1e-6)
-        assert fit.nfev == len(points)
-        assert fit.nhev == len(hessians)
-        assert fit.nit == len(points) - 1  # each step evaluates one point
-        assert fit.fun == rosen(fit.x)
+        assert fit.success[0]
+        np.testing.assert_allclose(fit.x[0], np.ones(2), atol=1e-6)
+        assert fit.nfev[0] == len(points)
+        assert fit.nhev[0] == len(hessians)
+        assert fit.nit[0] == len(points) - 1  # each step evaluates one point
+        assert fit.fun[0] == rosen(fit.x[0])
+
+    def test_flat_function_stops_every_start_unmoved(self):
+        # no gradient and no curvature: the model predicts no decrease, so
+        # every start stops before evaluating a trial point
+        x0s = [(0.3, -1.0), (2.0, 0.5)]
+        fit, points, _ = self._run(lambda x: (1.0, np.zeros(2)), lambda x: np.zeros((2, 2)), x0s)
+        np.testing.assert_array_equal(fit.x, x0s)
+        assert not fit.success.any()
+        assert list(fit.nit) == [0, 0] and list(fit.nfev) == [1, 1] and len(points) == 2
+        assert fit.message == ["the quadratic model predicts no decrease"] * 2
+
+    def test_underflowing_radius_gives_a_zero_step(self):
+        # a start whose steps were rejected until its radius collapsed: in
+        # the secular equation's Newton step, radius * slope underflows to 0
+        lam = np.array([[539.7, 7996.6, 68130.0, 80899.0, 2.283e6, 1.031e7]])
+        gq = np.array([[0.0011, 0.0116, -0.0194, -0.0002, 0.0154, -0.019]])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            p, on_boundary = pipeline._trust_step(gq, lam, np.array([1.3e-82]))
+        assert on_boundary[0]
+        assert np.all(p == 0.0)
+
+    def _assert_rows_are_lone_runs(self, fun, hess, x0s):
+        fit, _, _ = self._run(fun, hess, x0s)
+        for row, x0 in enumerate(x0s):
+            lone, _, _ = self._run(fun, hess, [x0])
+            np.testing.assert_allclose(fit.x[row], lone.x[0], rtol=0, atol=1e-12)
+            assert abs(fit.fun[row] - lone.fun[0]) <= 1e-12
+            for count in ("nit", "nfev", "nhev"):
+                assert fit[count][row] == lone[count][0], count
+            assert fit.success[row] == lone.success[0]
+        return fit
+
+    def test_batch_rows_equal_lone_runs(self):
+        from scipy.optimize import rosen, rosen_der, rosen_hess
+
+        # A third coordinate tags each row with its function: 0 for the
+        # saddle, 1 for Rosenbrock.  The tag's gradient is 0 and its
+        # curvature 1, so no step moves it.
+        def fun(x):
+            if x[2] < 0.5:
+                value, grad = self._saddle(x[:2])
+            else:
+                value, grad = rosen(x[:2]), rosen_der(x[:2])
+            return value, np.append(grad, 0.0)
+
+        def hess(x):
+            inner = self._saddle_hess(x[:2]) if x[2] < 0.5 else rosen_hess(x[:2])
+            return np.block([[inner, np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]])
+
+        x0s = [(*x0, 0.0) for x0 in self.SADDLE_STARTS] + [(-1.2, 1.0, 1.0)]
+        fit = self._assert_rows_are_lone_runs(fun, hess, x0s)
+        # the rows stop after different numbers of steps
+        assert len(set(fit.nit)) > 1
+        assert fit.success.all()
+
+    def test_batch_with_a_start_at_the_optimum_and_a_non_finite_trial(self):
+        fun, hess = self._fenced(np.inf)
+        fit = self._assert_rows_are_lone_runs(fun, hess, [(1.0, 0.0), (0.1, 0.0)])
+        # at the optimum the gradient is 0: one empty closing Newton step
+        assert fit.success[0] and fit.nit[0] == 1 and fit.nhev[0] == 1
+        np.testing.assert_array_equal(fit.x[0], [1.0, 0.0])
+        assert fit.success[1] and fit.nit[1] > 1
+        np.testing.assert_allclose(fit.x[1], [1.0, 0.0], atol=1e-6)
 
 
 class TestPinnedOutput:
@@ -320,30 +412,41 @@ class TestIdentifiability:
 
 
 class TestSampleChecks:
-    """Both sampled estimators reject bad samples before any work."""
+    """Both sampled estimators reject bad samples, naming the first bad path."""
+
+    CASES = ["nan", "inf", "-inf", "negative", "empty", "short", "long", "first_bad"]
 
     @staticmethod
     def _samples(case):
         mixes = [GhMix(RATES, w) for w in WEIGHTS]
         samples = list(sample_paths(EXPT1, mixes, 1000, seed=0).samples)
         if case == "short":
-            return samples[:1], "path 1"
+            return samples[:1], "path 1 has no samples"
+        if case == "long":
+            return samples * 2, "samples given for 4 paths; the routing matrix has 2"
         y = samples[0].copy()
         if case == "empty":
             y = y[:0]
+        elif case == "first_bad":
+            y[3] = -0.5
+            samples[1] = samples[1].copy()
+            samples[1][5] = np.nan
         else:
-            y[3] = {"nan": np.nan, "inf": np.inf, "negative": -0.5}[case]
+            y[3] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -0.5}[case]
         samples[0] = y
-        return samples, "path 0"
+        message = {
+            "empty": "no samples", "negative": "negative delays", "first_bad": "negative delays",
+        }.get(case, "non-finite values")
+        return samples, f"path 0 has {message}"
 
-    @pytest.mark.parametrize("case", ["nan", "inf", "negative", "empty", "short"])
+    @pytest.mark.parametrize("case", CASES)
     def test_estimate_gh_rejects(self, case):
-        samples, path = self._samples(case)
-        with pytest.raises(ValueError, match=path):
+        samples, message = self._samples(case)
+        with pytest.raises(ValueError, match=message):
             pipeline.estimate_gh(EXPT1, RATES, samples=samples)
 
-    @pytest.mark.parametrize("case", ["nan", "inf", "negative", "empty", "short"])
+    @pytest.mark.parametrize("case", CASES)
     def test_estimate_exp_rejects(self, case):
-        samples, path = self._samples(case)
-        with pytest.raises(ValueError, match=path):
+        samples, message = self._samples(case)
+        with pytest.raises(ValueError, match=message):
             pipeline.estimate_exp(EXPT1, samples=samples)
