@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc
 
 __all__ = [
     "GhMix",
@@ -130,24 +129,68 @@ def gh_mean(mix: GhMix) -> float:
     return float(sum(w / r for w, r in zip(mix.weights, mix.rates)))
 
 
+def _erlang_cdfs(m: int, x: np.ndarray) -> np.ndarray:
+    """Erlang CDFs P(k, x) = 1 - e^-x sum_{j<k} x^j/j! for k = 1..m, at a
+    1-d x >= 0.
+
+    P(k, x) is the regularized lower incomplete gamma function at integer
+    order k.  Row k-1 of the (m, x.size) result holds P(k, x).  The
+    Poisson terms e^-x x^j/j! are built once, each from the one before.
+    Where x^m/m! < 0.01, subtracting their sum from 1 would cancel more than
+    two digits of P(m, x); there P(m, x) comes from the positive series
+    e^-x x^m/m! sum_n x^n/((m+1)...(m+n)), and each lower order from
+    P(k, x) = P(k+1, x) + e^-x x^k/k!, which only adds.
+    """
+    out = np.empty((m, x.size))
+    out[0] = -np.expm1(-x)
+    poisson = [np.exp(-x)]  # e^-x x^j/j!
+    below = poisson[0].copy()  # e^-x sum_{j<k} x^j/j!
+    for k in range(1, m):
+        poisson.append(poisson[-1] * x / k)
+        below += poisson[-1]
+        out[k] = 1.0 - below
+    if m == 1:
+        return out
+    x_max = (0.01 * math.factorial(m)) ** (1.0 / m)  # where x^m/m! = 0.01
+    small = x < x_max
+    # the series' coefficients 1/((m+1)...(m+n)), up to the first term
+    # under 2^-53 at x_max
+    coeffs = [1.0]
+    while coeffs[-1] * x_max ** (len(coeffs) - 1) > 2.0 ** -53:
+        coeffs.append(coeffs[-1] / (m + len(coeffs)))
+    xs = x[small]
+    series = np.full_like(xs, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        series *= xs
+        series += c
+    p = poisson[-1][small] * xs / m * series
+    out[m - 1][small] = p
+    for k in range(m - 1, 1, -1):
+        p = p + poisson[k][small]
+        out[k - 1][small] = p
+    return out
+
+
 def hypoexp_cdf(rates, y) -> np.ndarray:
     """CDF of a sum of independent exponentials with the given rates.
 
     Repeated rates are allowed (Erlang blocks).  The Laplace transform
     prod_i (r_i/(s+r_i))^{m_i} is expanded by partial fractions into terms
-    A_{ik}/(s+r_i)^k, so the CDF is a signed combination of regularized
-    lower incomplete gamma functions.  Derivatives at each pole are obtained
-    from the logarithmic-derivative recursion, which stays exact for any
-    multiplicity pattern.
+    A_{ik}/(s+r_i)^k, so the CDF is a signed combination of Erlang CDFs
+    P(k, r_i y) = 1 - e^{-r_i y} sum_{j<k} (r_i y)^j/j!, all orders k of one
+    rate computed together (``_erlang_cdfs``).  Derivatives at each pole are
+    obtained from the logarithmic-derivative recursion, which stays exact
+    for any multiplicity pattern.
     """
     y = np.asarray(y, dtype=float)
+    flat = y.ravel()
     rates = [float(r) for r in rates]
     if not rates or any(r <= 0 for r in rates):
         raise ValueError(f"rates must be nonempty and strictly positive, got {rates}")
     mult = Counter(rates)
     distinct = sorted(mult)
     log_c = sum(m * math.log(r) for r, m in mult.items())
-    out = np.zeros_like(y)
+    out = np.zeros_like(flat)
     for r_i in distinct:
         m_i = mult[r_i]
         # derivatives of h(s) = prod_j r_j^{m_j} * prod_{j != i} (s+r_j)^{-m_j}
@@ -169,10 +212,9 @@ def hypoexp_cdf(rates, y) -> np.ndarray:
             h.append(
                 sum(math.comb(n - 1, k) * u[k] * h[n - 1 - k] for k in range(n))
             )
-        for k in range(1, m_i + 1):
-            a_ik = h[m_i - k] / math.factorial(m_i - k)
-            out += a_ik / r_i ** k * gammainc(k, r_i * y)
-    return out
+        coeffs = [h[m_i - k] / math.factorial(m_i - k) / r_i ** k for k in range(1, m_i + 1)]
+        out += np.asarray(coeffs) @ _erlang_cdfs(m_i, r_i * flat)
+    return out.reshape(y.shape)
 
 
 class IncidenceSets(NamedTuple):

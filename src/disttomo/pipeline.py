@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import numpy as np
-from scipy.optimize import OptimizeResult
 
 from . import epsbuild, expmeans, match, mgfest, model, polysolve
 
@@ -183,6 +182,16 @@ def _trust_step(gq, lam, radius):
     return p, boundary
 
 
+class _Fit(dict):
+    """``_trust_newton``'s result: a dict whose keys also read as attributes."""
+
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
 def _trust_newton(fun, x0, hess):
     """Trust-region Newton minimisation from a batch of starts, with exact
     subproblem solves.
@@ -207,13 +216,16 @@ def _trust_newton(fun, x0, hess):
     The step is taken when that ratio exceeds 0.15; a non-finite value at
     the trial point rejects it.  When the Hessian is positive definite and
     the Newton decrement ``grad @ H^-1 @ grad / 2`` is under 1e-8, the full
-    Newton step is the last one.  A start also stops when the model predicts
-    no decrease or after 200 steps.
+    Newton step is the last one.  So is any step whose predicted decrease
+    is positive but under four ulps of ``|f|``: the actual reduction of so
+    small a step is rounding, and ratios of rounding would reject every step
+    and shrink the radius until the step limit.  A start also stops,
+    unsuccessfully, when the model predicts no decrease or after 200 steps.
 
-    Returns an ``OptimizeResult`` whose fields hold one entry per start:
-    ``x``, ``fun``, ``jac``, ``success``, ``status``, ``message``, and the
-    counts ``nit`` (steps tried), ``nfev`` (points ``fun`` was evaluated
-    at) and ``nhev`` (Hessians).
+    Returns a dict whose keys also read as attributes.  Each holds one
+    entry per start: ``x``, ``fun``, ``jac``, ``success``, ``status``,
+    ``message``, and the counts ``nit`` (steps tried), ``nfev`` (points
+    ``fun`` was evaluated at) and ``nhev`` (Hessians).
     """
     x = np.array(x0, dtype=float)
     n_s = x.shape[0]
@@ -234,10 +246,11 @@ def _trust_newton(fun, x0, hess):
         rest = ~final
         p[rest], on_boundary[rest] = _trust_step(gq[rest], lam[rest], radius[active[rest]])
         predicted = -((gq * p).sum(axis=1) + 0.5 * (lam * p * p).sum(axis=1))
+        at_floor = ~final & (predicted < 4.0 * np.spacing(np.abs(f[active])))
         tried = final | (predicted > 0)
         for i in active[~tried]:
             message[i] = "the quadratic model predicts no decrease"
-        rows, ended = active[tried], final[tried]
+        rows, ended = active[tried], (final | at_floor)[tried]
         if not rows.size:
             break
         nit[rows] += 1
@@ -260,10 +273,11 @@ def _trust_newton(fun, x0, hess):
             h[rows[taken]] = hess(x_try[taken])
             nhev[rows[taken]] += 1
         success[rows[ended]] = True
-        for i in rows[ended]:
-            message[i] = "Newton decrement below 1e-8"
+        for i, floor_stop in zip(rows[ended], at_floor[tried][ended]):
+            message[i] = ("predicted decrease under 4 ulps of the value" if floor_stop
+                          else "Newton decrement below 1e-8")
         active = rows[~ended & (nit[rows] < 200)]
-    return OptimizeResult(
+    return _Fit(
         x=x, fun=f, jac=g, nit=nit, nfev=nfev, nhev=nhev, success=success,
         status=np.where(success, 0, 1), message=message,
     )

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disttomo
 from disttomo import cli
 from disttomo.model import GhMix, RoutingMatrix
 from disttomo.simulate import sample_paths
@@ -17,6 +22,22 @@ EXPT1_TOPOLOGY = {
         [0.80, 0.15, 0.05],
     ],
 }
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs only numpy; scipy is a test dependency
+    src = str(Path(disttomo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys, disttomo.cli; print(disttomo.__file__); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == [disttomo.__file__, "[]"]
 
 
 def _reject_constant(name):

@@ -10,6 +10,7 @@ from scipy.stats import expon, kstest
 
 from disttomo.model import (
     GhMix,
+    _erlang_cdfs,
     RoutingMatrix,
     gh_cdf,
     gh_mean,
@@ -152,11 +153,33 @@ class TestHypoexpCdf:
             hypoexp_cdf((1.7,), y), 1.0 - np.exp(-1.7 * y), atol=1e-12
         )
 
+    @pytest.mark.parametrize("rates", [(2.0, 1.0), (3.0, 3.0, 1.0), (1.5,) * 4])
+    def test_scalar_is_zero_at_zero_and_tends_to_one(self, rates):
+        at_zero = hypoexp_cdf(rates, 0.0)
+        assert np.ndim(at_zero) == 0 and at_zero == 0.0
+        far = [float(hypoexp_cdf(rates, y)) for y in (10.0, 50.0, 1e3)]
+        assert far == sorted(far)
+        assert abs(far[-1] - 1.0) <= 1e-12
+
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             hypoexp_cdf((), 1.0)
         with pytest.raises(ValueError):
             hypoexp_cdf((1.0, -2.0), 1.0)
+
+
+class TestErlangCdfs:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_regularized_incomplete_gamma(self, m):
+        x = np.concatenate([[0.0], np.geomspace(1e-300, 1e3, 2000)])
+        got = _erlang_cdfs(m, x)
+        expected = gammainc(np.arange(1, m + 1)[:, None], x)
+        assert got.shape == (m, x.size)
+        err = np.abs(got - expected)
+        assert err.max() <= 2e-15
+        resolved = expected > 1e-290
+        assert (err[resolved] / expected[resolved]).max() <= 1e-12
+        assert np.all(got[:, 0] == 0.0)
 
 
 class TestRoutingMatrix:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,27 @@ class TestTrustNewton:
             p, on_boundary = pipeline._trust_step(gq, lam, np.array([1.3e-82]))
         assert on_boundary[0]
         assert np.all(p == 0.0)
+
+    def test_stops_at_the_rounding_floor(self):
+        # A quadratic offset by 1.4e7, about the size of a sampled fit's
+        # likelihood, with a few ulps of deterministic noise in its value.
+        # The gradient's error of fixed size keeps the Newton decrement
+        # above 1e-8 everywhere, as the rounding of a large likelihood's
+        # gradient can, so near the minimum the steps' actual reductions
+        # are rounding and every start must end on the predicted decrease.
+        offset, curv, centre, beta = 1.4e7, np.array([2.0, 0.5]), np.array([0.3, -0.2]), 2e-4
+
+        def fun(x):
+            u = x - centre
+            noise = (zlib.crc32(x.tobytes()) % 7 - 3) * np.spacing(offset)
+            return offset + 0.5 * (curv * u) @ u + noise, curv * u + beta * np.sign(u)
+
+        x0s = [(0.0, 0.0), (1.0, 1.0), (-2.0, 0.5), (0.3001, -0.2001)]
+        fit, _, _ = self._run(fun, lambda x: np.diag(curv), x0s)
+        assert fit.success.all()
+        assert fit.nit.max() < 30
+        assert fit.message == ["predicted decrease under 4 ulps of the value"] * 4
+        np.testing.assert_allclose(fit.x, [centre] * 4, atol=1e-3)
 
     def _assert_rows_are_lone_runs(self, fun, hess, x0s):
         fit, _, _ = self._run(fun, hess, x0s)
