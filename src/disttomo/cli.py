@@ -237,30 +237,11 @@ def _report_delta(delta: float) -> float | None:
     return None if np.isnan(delta) else delta
 
 
-def _gh_report(result, diags, args):
-    report = {
-        "model": "gh",
-        "seed": args.seed,
-        "delta": _report_delta(result.delta),
-        "tau": {str(dg.path_id): list(dg.tau) for dg in diags},
-        "links": [
-            {
-                "link_id": j,
-                "weights": result.weights[j].tolist(),
-                "provenance": result.provenance[j],
-            }
-            for j in range(result.weights.shape[0])
-        ],
-    }
-    if result.error_norm is not None:
-        report["error_norm"] = result.error_norm
-    return report
-
-
 def cmd_estimate(args) -> int:
     topo = _load_topology(args.topology)
     a = topo["routing"]
-    if args.model == "gh" and "rates" not in topo:
+    gh = args.model == "gh"
+    if gh and "rates" not in topo:
         raise ValidationError("topology file needs 'rates' for --model gh")
     exact = bool(args.exact_mgf)
     samples = None
@@ -268,15 +249,14 @@ def cmd_estimate(args) -> int:
         if not args.samples:
             raise ValidationError("--samples is required unless --exact-mgf is set")
         samples = _read_csv(args.samples, a.n_paths)
-    if args.model == "gh":
-        rates = tuple(float(r) for r in topo["rates"])
-        d = len(rates) - 1
-        opts = pipeline.EstimateOptions(
-            tau=_parse_tau(args.tau, a, d),
-            tau_seed=args.seed,
-            solver_seed=args.seed,
-            delta=_parse_delta(args.delta),
-        )
+    rates = tuple(float(r) for r in topo["rates"]) if gh else None
+    opts = pipeline.EstimateOptions(
+        tau=_parse_tau(args.tau, a, len(rates) - 1 if gh else 1),
+        tau_seed=args.seed,
+        solver_seed=args.seed,
+        delta=_parse_delta(args.delta),
+    )
+    if gh:
         truth = None
         exact_mixes = None
         if "links" in topo:
@@ -292,16 +272,8 @@ def cmd_estimate(args) -> int:
             options=opts,
             ground_truth=truth,
         )
-        report = _gh_report(result, diags, args)
-        report["L"] = None if exact else int(samples[0].size)
-        report["exact_mgf"] = exact
+        estimates = [{"weights": w.tolist()} for w in result.weights]
     else:
-        opts = pipeline.EstimateOptions(
-            tau=_parse_tau(args.tau, a, 1),
-            tau_seed=args.seed,
-            solver_seed=args.seed,
-            delta=_parse_delta(args.delta),
-        )
         truth_means = _ground_truth_means(topo) if "means" in topo else None
         if exact and truth_means is None:
             raise ValidationError("--exact-mgf needs ground-truth 'means' in the topology")
@@ -312,24 +284,21 @@ def cmd_estimate(args) -> int:
             options=opts,
             ground_truth=truth_means,
         )
-        report = {
-            "model": "exp",
-            "seed": args.seed,
-            "delta": result.delta,
-            "tau": {str(dg.path_id): list(dg.tau) for dg in diags},
-            "links": [
-                {
-                    "link_id": j,
-                    "mean": float(means[j]),
-                    "provenance": result.provenance[j],
-                }
-                for j in range(len(means))
-            ],
-            "L": None if exact else int(samples[0].size),
-            "exact_mgf": exact,
-        }
-        if result.error_norm is not None:
-            report["error_norm"] = result.error_norm
+        estimates = [{"mean": float(m)} for m in means]
+    report = {
+        "model": args.model,
+        "seed": args.seed,
+        "delta": _report_delta(result.delta),
+        "tau": {str(dg.path_id): list(dg.tau) for dg in diags},
+        "links": [
+            {"link_id": j, **estimate, "provenance": result.provenance[j]}
+            for j, estimate in enumerate(estimates)
+        ],
+        "L": None if exact else int(samples[0].size),
+        "exact_mgf": exact,
+    }
+    if result.error_norm is not None:
+        report["error_norm"] = result.error_norm
     text = json.dumps(report, indent=2, default=str, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)

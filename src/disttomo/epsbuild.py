@@ -304,14 +304,7 @@ def build_t_tau(tau, n_i: int, d: int, lambdas, cond_limit: float = DEFAULT_COND
         raise ValueError("probe points must be strictly positive")
     if len(set(tau)) != len(tau):
         raise ValueError("probe points must be distinct (matrix would be singular)")
-    last = float(lambdas[-1])
-    mat = np.empty((d * n_i, d * n_i))
-    for col in range(1, d * n_i + 1):
-        b_k = (col + n_i - 1) // n_i  # min{j : j*N_i >= col}
-        q = col - (b_k - 1) * n_i
-        scale = last ** (b_k * n_i - col)
-        for row, t in enumerate(tau):
-            mat[row, col - 1] = lambda_basis(b_k, t, lambdas) ** q * scale
+    mat = _t_tau_stack(np.array(tau), n_i, lambdas)
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > cond_limit:
         raise np.linalg.LinAlgError(
@@ -319,6 +312,21 @@ def build_t_tau(tau, n_i: int, d: int, lambdas, cond_limit: float = DEFAULT_COND
             "choose a different probe set tau"
         )
     return mat
+
+
+def _t_tau_stack(taus: np.ndarray, n_i: int, lambdas) -> np.ndarray:
+    """The evaluation matrices of a stack (..., d*N_i) of probe sets.
+
+    Entry (row, (b-1)*N_i + q - 1) is Lambda_b(tau[row])^q * lambda_{d+1}^(N_i - q):
+    per stage b, the powers q = 1..N_i of its basis function, scaled.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    last = lam[-1]
+    t = taus[..., None]
+    basis = (lam[:-1] - last) * t / (lam[:-1] + t)  # (..., dN, d)
+    q = np.arange(1, n_i + 1)
+    mat = basis[..., None] ** q * last ** (n_i - q)  # (..., dN, d, N_i)
+    return mat.reshape(taus.shape + (taus.shape[-1],))
 
 
 @dataclass(frozen=True)

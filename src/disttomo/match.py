@@ -12,8 +12,6 @@ the true combination costs about 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-
 import numpy as np
 
 from .model import RoutingMatrix
@@ -65,7 +63,11 @@ def run_matching(
     """Pick one root per path so that shared links' blocks disagree least.
 
     The search is exhaustive over the product of the paths' root lists: on
-    the bundled experiments that is at most 6**3 = 216 combinations.
+    the bundled experiments that is at most 6**3 = 216 combinations.  It
+    runs as array operations over all combinations at once: each link's
+    blocks are stacked into a (combinations, blocks, d) array, which gives
+    one cost per combination; the first least cost wins, and one mask
+    finds the combinations tied with it.
     Raises ``AmbiguityError`` when a path has no real root, when two
     combinations tie at the least cost and give different link weights, or
     when ``delta`` is given and some block lies more than ``delta`` from its
@@ -85,24 +87,26 @@ def run_matching(
         ]
         for j in range(a.n_links)
     ]
-
-    def score(combo):
-        blocks = [np.array([combo[k][s] for k, s in link_slots]) for link_slots in slots]
-        means = np.array([b.mean(axis=0) for b in blocks])
-        cost = sum(float(((b - m) ** 2).sum()) for b, m in zip(blocks, means))
-        return cost, blocks, means
-
-    scored = [score(c) for c in product(*(path_solutions[p].root_blocks for p in pids))]
-    cost, blocks, means = min(scored, key=lambda s: s[0])
-    for other_cost, _, other_means in scored:
-        if (
-            np.isclose(other_cost, cost, rtol=_TIE_RTOL, atol=_TIE_ATOL)
-            and np.abs(other_means - means).max() > _SAME_TOL
-        ):
-            raise AmbiguityError(
-                f"two root combinations tie at the least disagreement {cost:.3g} "
-                "and give different link weights"
-            )
+    roots = [np.array(path_solutions[pid].root_blocks) for pid in pids]  # (roots, N_i, d)
+    # every combination of one root per path, in ``itertools.product`` order:
+    # combos[k] holds path k's root index in each
+    combos = np.indices([r.shape[0] for r in roots]).reshape(len(pids), -1)
+    # per link, its blocks under every combination: (combinations, blocks, d)
+    stacks = [
+        np.stack([roots[k][combos[k], s] for k, s in link_slots], axis=1)
+        for link_slots in slots
+    ]
+    means = np.stack([b.mean(axis=1) for b in stacks], axis=1)  # (combinations, N, d)
+    cost = sum(((b - means[:, j, None]) ** 2).sum(axis=(1, 2)) for j, b in enumerate(stacks))
+    best = int(np.argmin(cost))
+    tied = np.isclose(cost, cost[best], rtol=_TIE_RTOL, atol=_TIE_ATOL)
+    if (np.abs(means[tied] - means[best]).max(axis=(1, 2)) > _SAME_TOL).any():
+        raise AmbiguityError(
+            f"two root combinations tie at the least disagreement {cost[best]:.3g} "
+            "and give different link weights"
+        )
+    blocks = [b[best] for b in stacks]
+    means = means[best]
     spread = max(
         (float(np.linalg.norm(b - m, axis=1).max()) for b, m in zip(blocks, means)),
         default=0.0,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epsbuild import DEFAULT_COND_LIMIT, build_t_tau
+from .epsbuild import DEFAULT_COND_LIMIT, _t_tau_stack
 
 __all__ = [
     "MgfProbe",
@@ -75,41 +75,30 @@ def choose_tau(
     """Draw d*N_i distinct positive probe points with a well-conditioned
     evaluation matrix.
 
-    Points are drawn log-uniformly from [0.05 * min rate, 5 * max rate],
-    which spreads the basis values; resamples until the matrix condition
-    number is below ``cond_limit``.
+    All ``max_retries`` probe sets are drawn at once, log-uniformly from
+    [0.05 * min rate, 5 * max rate], which spreads the basis values.  One
+    batched SVD of their evaluation matrices gives each draw's condition
+    number s_max / s_min; a draw is admissible when its points are distinct
+    and that is at most ``cond_limit``.  Of the admissible draws the first
+    that amplifies MGF noise least is returned: the linear solve scales
+    errors by 1 / s_min, the inverse's operator norm, and by the largest
+    (lambda_{d+1} + t)^{N_i} factor.
     """
-    count = d * n_i
-    lo = 0.05 * min(lambdas)
-    hi = 5.0 * max(lambdas)
-    rng = np.random.default_rng(seed)
-    best_tau = None
-    best_amp = math.inf
-    best_cond = math.inf
-    for _ in range(max_retries):
-        tau = tuple(float(v) for v in np.exp(rng.uniform(np.log(lo), np.log(hi), count)))
-        if len(set(tau)) != count:
-            continue
-        try:
-            t_mat = build_t_tau(tau, n_i, d, lambdas, cond_limit=cond_limit)
-        except np.linalg.LinAlgError:
-            best_cond = min(best_cond, np.linalg.cond(
-                build_t_tau(tau, n_i, d, lambdas, cond_limit=math.inf)))
-            continue
-        # Of the admissible draws keep the one amplifying MGF noise least:
-        # the linear solve scales errors by the inverse operator norm and
-        # the (lambda_{d+1} + t)^{N_i} factors.
-        amp = float(np.linalg.norm(np.linalg.inv(t_mat), 2)) * max(
-            (float(lambdas[-1]) + t) ** n_i for t in tau
-        )
-        if amp < best_amp:
-            best_amp, best_tau = amp, tau
-    if best_tau is None:
+    taus = np.exp(np.random.default_rng(seed).uniform(
+        np.log(0.05 * min(lambdas)), np.log(5.0 * max(lambdas)), (max_retries, d * n_i)
+    ))
+    s = np.linalg.svd(_t_tau_stack(taus, n_i, lambdas), compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[:, -1] > 0, s[:, 0] / s[:, -1], np.inf)
+    distinct = (np.diff(np.sort(taus, axis=1), axis=1) > 0).all(axis=1)
+    admissible = np.flatnonzero(distinct & np.isfinite(cond) & (cond <= cond_limit))
+    if not admissible.size:
         raise TauSelectionError(
             f"no probe set with condition number below {cond_limit:.3g} in "
-            f"{max_retries} tries (best seen {best_cond:.3g})"
+            f"{max_retries} tries (best seen {cond[distinct].min(initial=np.inf):.3g})"
         )
-    return best_tau
+    amp = (float(lambdas[-1]) + taus[admissible].max(axis=1)) ** n_i / s[admissible, -1]
+    return tuple(taus[admissible[np.argmin(amp)]].tolist())
 
 
 def assemble_constants(

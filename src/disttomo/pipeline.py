@@ -44,7 +44,6 @@ class PathDiagnostics:
     path_id: int
     tau: tuple[float, ...]
     n_roots: int
-    n_reduced: int
     n_path_failures: int
 
 
@@ -58,30 +57,15 @@ def _check_identifiable(a: model.RoutingMatrix) -> None:
         raise ValueError(f"routing matrix is not 1-identifiable: {'; '.join(reasons)}")
 
 
-def _check_samples(a: model.RoutingMatrix, samples) -> None:
-    """Reject samples that do not give every path finite, nonnegative delays."""
-    if len(samples) > a.n_paths:
-        raise ValueError(
-            f"samples given for {len(samples)} paths; the routing matrix has {a.n_paths}"
-        )
-    for i in range(a.n_paths):
-        y = np.asarray(samples[i], dtype=float) if i < len(samples) else np.empty(0)
-        if y.size == 0:
-            raise ValueError(f"path {i} has no samples")
-        if not np.isfinite(y).all():
-            raise ValueError(f"path {i} has non-finite values")
-        if (y < 0).any():
-            raise ValueError(f"path {i} has negative delays")
+def _checked_paths(a: model.RoutingMatrix, samples, *, sort: bool = False):
+    """Yield each path's samples, rejecting any that are not finite and
+    nonnegative, and naming the first bad path.
 
-
-def _sorted_paths(a: model.RoutingMatrix, samples):
-    """Yield each path's samples sorted, rejecting what ``_check_samples`` rejects.
-
-    The checks read the ends of each sorted path, where -inf sorts first and
-    inf and NaN last, so each path's samples are read once, by their copy
-    into the sort buffer; the errors and their order are ``_check_samples``'s.
-    Every path is sorted into the same buffer, allocated once, so each
-    yielded array is overwritten by the next.
+    The checks read each path's smallest and largest value: its ``min`` and
+    ``max``, or with ``sort`` the ends of the sorted copy, where -inf sorts
+    first and inf and NaN last.  With ``sort`` each path is yielded sorted,
+    read once, by its copy into a sort buffer allocated once for all
+    paths, so each yielded array is overwritten by the next.
     """
     if len(samples) > a.n_paths:
         raise ValueError(
@@ -91,18 +75,28 @@ def _sorted_paths(a: model.RoutingMatrix, samples):
         np.asarray(samples[i], dtype=float) if i < len(samples) else np.empty(0)
         for i in range(a.n_paths)
     ]
-    buffer = np.empty(max(y.size for y in paths))
+    buffer = np.empty(max(y.size for y in paths)) if sort else None
     for i, y in enumerate(paths):
         if y.size == 0:
             raise ValueError(f"path {i} has no samples")
-        ordered = buffer[:y.size]
-        np.copyto(ordered, y)
-        ordered.sort()
-        if not (np.isfinite(ordered[0]) and np.isfinite(ordered[-1])):
+        if sort:
+            y = buffer[:y.size]
+            np.copyto(y, paths[i])
+            y.sort()
+            lo, hi = y[0], y[-1]
+        else:
+            lo, hi = y.min(), y.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError(f"path {i} has non-finite values")
-        if ordered[0] < 0:
+        if lo < 0:
             raise ValueError(f"path {i} has negative delays")
-        yield ordered
+        yield y
+
+
+def _check_samples(a: model.RoutingMatrix, samples) -> None:
+    """Reject samples that do not give every path finite, nonnegative delays."""
+    for _ in _checked_paths(a, samples):
+        pass
 
 
 def _quantile_edges(y: np.ndarray, n_bins: int) -> np.ndarray:
@@ -223,9 +217,9 @@ def _trust_newton(fun, x0, hess):
     unsuccessfully, when the model predicts no decrease or after 200 steps.
 
     Returns a dict whose keys also read as attributes.  Each holds one
-    entry per start: ``x``, ``fun``, ``jac``, ``success``, ``status``,
-    ``message``, and the counts ``nit`` (steps tried), ``nfev`` (points
-    ``fun`` was evaluated at) and ``nhev`` (Hessians).
+    entry per start: ``x``, ``fun``, ``jac``, ``success``, ``message``, and
+    the counts ``nit`` (steps tried), ``nfev`` (points ``fun`` was evaluated
+    at) and ``nhev`` (Hessians).
     """
     x = np.array(x0, dtype=float)
     n_s = x.shape[0]
@@ -278,8 +272,7 @@ def _trust_newton(fun, x0, hess):
                           else "Newton decrement below 1e-8")
         active = rows[~ended & (nit[rows] < 200)]
     return _Fit(
-        x=x, fun=f, jac=g, nit=nit, nfev=nfev, nhev=nhev, success=success,
-        status=np.where(success, 0, 1), message=message,
+        x=x, fun=f, jac=g, nit=nit, nfev=nfev, nhev=nhev, success=success, message=message
     )
 
 
@@ -294,7 +287,7 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     information out of the data, unlike the handful of MGF evaluations the
     polynomial stage consumes.  The bin edges are the samples' quantiles,
     read off each path's sorted samples by ``_quantile_edges``; the samples
-    are checked and sorted by ``_sorted_paths``.  A bin's probability under
+    are checked and sorted by ``_checked_paths``.  A bin's probability under
     a stage assignment depends only on the multiset of its rates, so each
     path's hypoexponential CDF is computed once per multiset.
 
@@ -354,7 +347,7 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     # a link's full weights as a function of its free ones: d(w)/d(w_free)
     lift = np.vstack([np.eye(d), -np.ones((1, d))])  # (d+1, d)
     by_length: dict[int, list] = {}
-    for i, y in enumerate(_sorted_paths(a, samples)):
+    for i, y in enumerate(_checked_paths(a, samples, sort=True)):
         links = sorted(a.path_links(i))
         edges = np.unique(_quantile_edges(y, n_bins)[:-1])
         edges[0] = 0.0
@@ -520,9 +513,9 @@ def algebraic_gh(
         n_i = len(links)
         if opts.tau is not None and i in opts.tau:
             tau = tuple(opts.tau[i])
-            epsbuild.build_t_tau(tau, n_i, d, lambdas)
         else:
             tau = mgfest.choose_tau(n_i, d, lambdas, seed=opts.tau_seed + 7919 * i)
+        t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
         if exact_mixes is not None:
             path_mixes = [exact_mixes[j] for j in links]
 
@@ -534,10 +527,8 @@ def algebraic_gh(
             probe = mgfest.assemble_constants(samples[i], tau, n_i, lambdas)
         if n_i not in eps_cache:
             eps_cache[n_i] = epsbuild.build_eps(n_i, d, lambdas)
-        t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
         system = epsbuild.assemble_system(eps_cache[n_i], t_tau, probe.c_hat, n_i=n_i, d=d)
         sol = polysolve.solve_system(system)
-        reduced = polysolve.reduce_first_components(sol.roots, d, near_real_tol=near_real_tol)
         path_solutions[i] = match.PathSolutions(
             path_id=i,
             links=links,
@@ -548,7 +539,6 @@ def algebraic_gh(
                 path_id=i,
                 tau=tau,
                 n_roots=sol.n_roots,
-                n_reduced=len(reduced),
                 n_path_failures=sol.n_path_failures,
             )
         )
@@ -666,8 +656,7 @@ def estimate_exp(
         path_means[i] = means
         diagnostics.append(
             PathDiagnostics(
-                path_id=i, tau=tau, n_roots=len(means),
-                n_reduced=len(means), n_path_failures=int(flagged),
+                path_id=i, tau=tau, n_roots=len(means), n_path_failures=int(flagged),
             )
         )
     means, result = expmeans.match_means(

@@ -2,7 +2,8 @@
 
 Each test exercises one headline requirement at its stated tolerance and
 prints a single ``ACCEPTANCE n: PASS/FAIL`` line.  The statistical
-replication tests (3-5) run 20 fixed seeds each and take several minutes.
+replication tests (3-5) run 20 fixed seeds each; the whole file takes
+15-17 s on a 2-core VM.
 """
 
 import math

@@ -216,6 +216,22 @@ class TestBuildTTau:
             t_mat = build_t_tau(tau, 2, 2, RATES, cond_limit=np.inf)
             assert np.isfinite(np.linalg.cond(t_mat))
 
+    def test_entries_are_scaled_basis_powers(self):
+        # column (b-1)*N_i + q - 1 holds Lambda_b(t)^q * last^(N_i - q), built
+        # here entry by entry; the matrix takes its powers in one array pass,
+        # which may round them differently in the last bit
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            n_i, d, lambdas = random_instance(rng, max_n=3, max_d=3)
+            tau = tuple(np.exp(rng.uniform(np.log(0.05), np.log(8.0), d * n_i)))
+            t_mat = build_t_tau(tau, n_i, d, lambdas, cond_limit=np.inf)
+            expected = [
+                [lambda_basis(b, t, lambdas) ** q * lambdas[-1] ** (n_i - q)
+                 for b in range(1, d + 1) for q in range(1, n_i + 1)]
+                for t in tau
+            ]
+            np.testing.assert_allclose(t_mat, expected, rtol=1e-15, atol=0)
+
     def test_condition_limit_enforced(self):
         with pytest.raises(np.linalg.LinAlgError, match="condition"):
             build_t_tau((1.0, 1.0 + 1e-9, 2.0, 3.0), 2, 2, RATES, cond_limit=1e6)

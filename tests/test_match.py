@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,46 @@ class TestLeastDisagreement:
             run_matching(
                 EXPT1, self.noisy_solutions(), d=2, ground_truth=np.zeros((2, 3))
             )
+
+
+class TestAgainstCombinationLoop:
+    """The array search picks what scoring each combination in turn picks."""
+
+    EXPT3 = RoutingMatrix(((1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)))
+
+    @staticmethod
+    def _first_least(a, sols):
+        pids = sorted(sols)
+        best_cost, best_blocks = np.inf, None
+        for combo in product(*(sols[p].root_blocks for p in pids)):
+            blocks = [
+                np.array([combo[k][sols[p].links.index(j)]
+                          for k, p in enumerate(pids) if j in sols[p].links])
+                for j in range(a.n_links)
+            ]
+            cost = sum(((b - b.mean(axis=0)) ** 2).sum() for b in blocks)
+            if cost < best_cost:
+                best_cost, best_blocks = cost, blocks
+        return best_blocks
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_roots(self, seed):
+        rng = np.random.default_rng(seed)
+        sols = {
+            i: PathSolutions(
+                path_id=i,
+                links=tuple(sorted(self.EXPT3.path_links(i))),
+                root_blocks=tuple(
+                    tuple(rng.uniform(-1.0, 2.0, 2) for _ in range(2)) for _ in range(6)
+                ),
+            )
+            for i in range(3)
+        }
+        result = run_matching(self.EXPT3, sols, d=2)
+        blocks = self._first_least(self.EXPT3, sols)
+        assert [p["blocks"] for p in result.provenance] == [b.tolist() for b in blocks]
+        means = np.array([b.mean(axis=0) for b in blocks])
+        np.testing.assert_allclose(result.weights[:, :2], means, rtol=0, atol=1e-15)
 
 
 class TestIdealCaseProperty:

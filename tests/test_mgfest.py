@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,51 @@ class TestChooseTau:
     def test_exhausted_retries_raise(self):
         with pytest.raises(TauSelectionError):
             choose_tau(2, 2, RATES, seed=0, cond_limit=1.0, max_retries=3)
+
+    # rates per stage count d; with d = 3 and N_i = 3 these have no probe
+    # set with condition number below 1e10 in 50 draws for seeds 0-9
+    RATES_BY_D = {1: (3.0, 1.0), 2: RATES, 3: (6.0, 3.0, 2.0, 1.0)}
+
+    @staticmethod
+    def _reference(n_i, d, lambdas, seed, cond_limit=1e10, max_retries=50):
+        """choose_tau draw by draw: the least-amplifying admissible draw."""
+        rng = np.random.default_rng(seed)
+        best_tau, best_amp, best_cond = None, math.inf, math.inf
+        for _ in range(max_retries):
+            tau = tuple(np.exp(rng.uniform(
+                np.log(0.05 * min(lambdas)), np.log(5.0 * max(lambdas)), d * n_i
+            )).tolist())
+            if len(set(tau)) != len(tau):
+                continue
+            t_mat = build_t_tau(tau, n_i, d, lambdas, cond_limit=np.inf)
+            cond = np.linalg.cond(t_mat)
+            if not cond <= cond_limit:
+                best_cond = min(best_cond, cond)
+                continue
+            amp = np.linalg.norm(np.linalg.inv(t_mat), 2) * max(
+                (lambdas[-1] + t) ** n_i for t in tau
+            )
+            if amp < best_amp:
+                best_tau, best_amp = tau, amp
+        if best_tau is None:
+            raise TauSelectionError(
+                f"no probe set with condition number below {cond_limit:.3g} in "
+                f"{max_retries} tries (best seen {best_cond:.3g})"
+            )
+        return best_tau
+
+    @pytest.mark.parametrize("n_i", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_least_amplifying_admissible_draw(self, n_i, d):
+        lambdas = self.RATES_BY_D[d]
+        for seed in range(10):
+            try:
+                expected = self._reference(n_i, d, lambdas, seed)
+            except TauSelectionError as exc:
+                with pytest.raises(TauSelectionError, match=re.escape(str(exc))):
+                    choose_tau(n_i, d, lambdas, seed=seed)
+            else:
+                assert choose_tau(n_i, d, lambdas, seed=seed) == expected
 
 
 class TestAssembleConstants:

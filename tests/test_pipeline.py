@@ -421,6 +421,16 @@ class TestExactMode:
         assert diags[0].n_roots == 90
         np.testing.assert_allclose(result.weights, truth, atol=1e-6)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 1004])
+    def test_expt3_recovers_truth(self, seed):
+        # three paths of two links: 6**3 = 216 root combinations to match
+        setup = experiments.get_setup("expt3")
+        result, _ = pipeline.estimate_gh(
+            setup.matrix, setup.effective_rates, exact_mixes=setup.mixes(),
+            options=pipeline.EstimateOptions(tau_seed=seed, solver_seed=seed),
+        )
+        np.testing.assert_allclose(result.weights, setup.truth, atol=1e-6)
+
 
 class TestIdentifiability:
     def test_estimate_gh_rejects_identical_columns(self):
@@ -467,6 +477,12 @@ class TestSampleChecks:
         samples, message = self._samples(case)
         with pytest.raises(ValueError, match=message):
             pipeline.estimate_gh(EXPT1, RATES, samples=samples)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_algebraic_gh_rejects(self, case):
+        samples, message = self._samples(case)
+        with pytest.raises(ValueError, match=message):
+            pipeline.algebraic_gh(EXPT1, RATES, samples=samples)
 
     @pytest.mark.parametrize("case", CASES)
     def test_estimate_exp_rejects(self, case):
