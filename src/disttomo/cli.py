@@ -231,12 +231,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _report_delta(delta: float) -> float | None:
-    """A report's ``delta``: null for the likelihood fit, which has none (NaN),
-    since JSON has no NaN."""
-    return None if np.isnan(delta) else delta
-
-
 def cmd_estimate(args) -> int:
     topo = _load_topology(args.topology)
     a = topo["routing"]
@@ -288,7 +282,7 @@ def cmd_estimate(args) -> int:
     report = {
         "model": args.model,
         "seed": args.seed,
-        "delta": _report_delta(result.delta),
+        "delta": result.delta,
         "tau": {str(dg.path_id): list(dg.tau) for dg in diags},
         "links": [
             {"link_id": j, **estimate, "provenance": result.provenance[j]}
@@ -326,7 +320,6 @@ def cmd_experiment(args) -> int:
         print(f"{j + 1:4d} | {left} | {right}")
     print(f"error norm: {report['error_norm']:.4f}")
     if args.out:
-        report["delta"] = _report_delta(report["delta"])
         Path(args.out).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK

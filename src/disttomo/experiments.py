@@ -121,35 +121,25 @@ def run_experiment(
     switches to the noise-free analytic-MGF mode.
     """
     setup = get_setup(name)
-    opts = EstimateOptions(tau_seed=seed, solver_seed=seed)
-    if exact:
-        if setup.dropped_stage is not None:
-            raise ValueError(
-                f"{name} has a dropped stage; exact mode would not exercise it"
-            )
-        result, diags = estimate_gh(
-            setup.matrix,
-            setup.effective_rates,
-            exact_mixes=setup.mixes(),
-            options=opts,
-            ground_truth=setup.truth,
-        )
-        estimated = result.weights
-    else:
-        sample_set = sample_paths(setup.matrix, setup.mixes(), n_samples, seed=seed)
-        eff_truth = (
-            setup.truth
-            if setup.dropped_stage is None
-            else np.delete(setup.truth, setup.dropped_stage, axis=1)
-        )
-        result, diags = estimate_gh(
-            setup.matrix,
-            setup.effective_rates,
-            samples=sample_set.samples,
-            options=opts,
-            ground_truth=eff_truth,
-        )
-        estimated = setup.expand(result.weights)
+    if exact and setup.dropped_stage is not None:
+        raise ValueError(f"{name} has a dropped stage; exact mode would not exercise it")
+    eff_truth = (
+        setup.truth
+        if setup.dropped_stage is None
+        else np.delete(setup.truth, setup.dropped_stage, axis=1)
+    )
+    samples = None if exact else sample_paths(
+        setup.matrix, setup.mixes(), n_samples, seed=seed
+    ).samples
+    result, diags = estimate_gh(
+        setup.matrix,
+        setup.effective_rates,
+        samples=samples,
+        exact_mixes=setup.mixes() if exact else None,
+        options=EstimateOptions(tau_seed=seed, solver_seed=seed),
+        ground_truth=eff_truth,
+    )
+    estimated = setup.expand(result.weights)
     error_norm = float(np.linalg.norm((estimated - setup.truth).ravel()))
     return {
         "experiment": name,

@@ -12,7 +12,7 @@ mean vector as its solution set, so the univariate reduction is lossless.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -141,7 +141,6 @@ def match_means(
     a: RoutingMatrix,
     path_means: dict[int, np.ndarray],
     delta: float | None = None,
-    ground_truth=None,
 ):
     """Assign one mean per link by the same least-disagreement search as
     the weight-vector case, over every ordering of each path's means.
@@ -164,11 +163,5 @@ def match_means(
             for perm in sorted(set(permutations(means)))
         )
         path_solutions[i] = PathSolutions(path_id=i, links=links, root_blocks=roots)
-    result = run_matching(a, path_solutions, d=1, delta=delta, ground_truth=None)
-    means = result.weights[:, 0].copy()
-    if ground_truth is not None:
-        error_norm = float(
-            np.linalg.norm(means - np.asarray(ground_truth, dtype=float))
-        )
-        result = replace(result, error_norm=error_norm)
-    return means, result
+    result = run_matching(a, path_solutions, d=1, delta=delta)
+    return result.weights[:, 0].copy(), result

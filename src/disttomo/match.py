@@ -45,11 +45,16 @@ class PathSolutions:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Per-link assigned weight vectors with provenance."""
+    """Per-link assigned weight vectors with provenance.
+
+    ``delta`` is None for the likelihood fit, which matches no roots.
+    ``error_norm`` is the estimate's distance from a ground truth: the
+    estimators in ``pipeline`` fill it when given one.
+    """
 
     weights: np.ndarray  # (N, d+1), last entry reconstituted
     provenance: tuple[dict, ...]
-    delta: float
+    delta: float | None
     error_norm: float | None = None
 
 
@@ -58,7 +63,6 @@ def run_matching(
     path_solutions: dict[int, PathSolutions],
     d: int,
     delta: float | None = None,
-    ground_truth: np.ndarray | None = None,
 ) -> MatchResult:
     """Pick one root per path so that shared links' blocks disagree least.
 
@@ -124,17 +128,6 @@ def run_matching(
         }
         for j in range(a.n_links)
     )
-    error_norm = None
-    if ground_truth is not None:
-        truth = np.asarray(ground_truth, dtype=float)
-        if truth.shape != weights.shape:
-            raise ValueError(
-                f"ground truth shape {truth.shape} != estimate shape {weights.shape}"
-            )
-        error_norm = float(np.linalg.norm((weights - truth).ravel()))
     return MatchResult(
-        weights=weights,
-        provenance=provenance,
-        delta=spread if delta is None else delta,
-        error_norm=error_norm,
+        weights=weights, provenance=provenance, delta=spread if delta is None else delta
     )

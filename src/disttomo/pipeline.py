@@ -11,7 +11,7 @@ Topologies that are not 1-identifiable are rejected up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -479,6 +479,60 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     return fits.x[np.argmin(values)].reshape(n, d)
 
 
+def _error_norm(estimate: np.ndarray, ground_truth) -> float | None:
+    """The 2-norm of ``estimate - ground_truth``, or None without a truth.
+
+    Raises ``ValueError`` when the truth's shape differs from the estimate's.
+    """
+    if ground_truth is None:
+        return None
+    truth = np.asarray(ground_truth, dtype=float)
+    if truth.shape != estimate.shape:
+        raise ValueError(f"ground truth shape {truth.shape} != estimate shape {estimate.shape}")
+    return float(np.linalg.norm((estimate - truth).ravel()))
+
+
+def _per_path(a, samples, exact, exact_name, link_mgf, opts, default_tau, solve):
+    """The per-path half of an algebraic estimator, shared by both.
+
+    Checks the input: one of ``samples`` (checked by ``_check_samples``) or
+    ``exact``, one exact value per link, whose MGF is ``link_mgf(value, t)``,
+    and an identifiable topology.  Then, per path, takes the probe points
+    ``opts.tau[i]``, or else ``default_tau(i, links, path_samples)``, and
+    calls ``solve(i, links, tau, path_samples, exact_mgf)``, where exactly one
+    of ``path_samples`` and ``exact_mgf`` (the product of the path's link
+    MGFs) is None.  ``solve`` returns (solution, root count, failure count).
+    Returns (solutions by path, one ``PathDiagnostics`` per path).
+    """
+    if samples is None and exact is None:
+        raise ValueError(f"need either samples or {exact_name}")
+    _check_identifiable(a)
+    if exact is None:
+        _check_samples(a, samples)
+    elif len(exact) != a.n_links:
+        raise ValueError(f"{exact_name} lists {len(exact)} values for {a.n_links} links")
+    solutions = {}
+    diagnostics: list[PathDiagnostics] = []
+    for i in range(a.n_paths):
+        links = tuple(sorted(a.path_links(i)))
+        if exact is None:
+            path_samples, exact_mgf = samples[i], None
+        else:
+            values = [exact[j] for j in links]
+            path_samples = None
+
+            def exact_mgf(t, _values=values):
+                return math.prod(link_mgf(v, t) for v in _values)
+
+        if opts.tau is not None and i in opts.tau:
+            tau = tuple(opts.tau[i])
+        else:
+            tau = default_tau(i, links, path_samples)
+        solutions[i], n_roots, n_failures = solve(i, links, tau, path_samples, exact_mgf)
+        diagnostics.append(PathDiagnostics(i, tau, n_roots, n_failures))
+    return solutions, diagnostics
+
+
 def algebraic_gh(
     a: model.RoutingMatrix,
     lambdas,
@@ -490,61 +544,38 @@ def algebraic_gh(
 ):
     """The paper's algebraic estimator of every link's weight vector.
 
-    Per path: probe points, MGF constants (empirical from ``samples``, or
-    analytic from ``exact_mixes`` when given), the elementary polynomial
-    system and all its roots; then the roots are matched across paths.
+    Per path: probe points (``mgfest.choose_tau`` unless given), MGF
+    constants (empirical from ``samples``, or analytic from ``exact_mixes``
+    when given), the elementary polynomial system and all its roots; then
+    ``match.run_matching`` matches the roots across paths.
     Returns (MatchResult, diagnostics) and raises ``match.AmbiguityError``
     when matching fails.  With ``exact_mixes``, a row that is not a valid
     mixture raises ``RuntimeError``: noise-free data admits no such answer.
     """
     opts = options or EstimateOptions()
     d = len(lambdas) - 1
-    if samples is None and exact_mixes is None:
-        raise ValueError("need either samples or exact_mixes")
-    _check_identifiable(a)
-    if exact_mixes is None:
-        _check_samples(a, samples)
-    path_solutions: dict[int, match.PathSolutions] = {}
-    diagnostics: list[PathDiagnostics] = []
     eps_cache: dict[int, list[epsbuild.SparsePoly]] = {}
     near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact_mixes is None else _NEAR_REAL_TOL_EXACT
-    for i in range(a.n_paths):
-        links = tuple(sorted(a.path_links(i)))
+
+    def choose_tau(i, links, _):
+        return mgfest.choose_tau(len(links), d, lambdas, seed=opts.tau_seed + 7919 * i)
+
+    def solve(i, links, tau, path_samples, exact_mgf):
         n_i = len(links)
-        if opts.tau is not None and i in opts.tau:
-            tau = tuple(opts.tau[i])
-        else:
-            tau = mgfest.choose_tau(n_i, d, lambdas, seed=opts.tau_seed + 7919 * i)
         t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
-        if exact_mixes is not None:
-            path_mixes = [exact_mixes[j] for j in links]
-
-            def exact(t, _mixes=path_mixes):
-                return math.prod(model.gh_mgf(mx, t) for mx in _mixes)
-
-            probe = mgfest.assemble_constants(None, tau, n_i, lambdas, exact_mgf=exact)
-        else:
-            probe = mgfest.assemble_constants(samples[i], tau, n_i, lambdas)
+        probe = mgfest.assemble_constants(path_samples, tau, n_i, lambdas, exact_mgf=exact_mgf)
         if n_i not in eps_cache:
             eps_cache[n_i] = epsbuild.build_eps(n_i, d, lambdas)
         system = epsbuild.assemble_system(eps_cache[n_i], t_tau, probe.c_hat, n_i=n_i, d=d)
         sol = polysolve.solve_system(system)
-        path_solutions[i] = match.PathSolutions(
-            path_id=i,
-            links=links,
-            root_blocks=tuple(_blocks(r, n_i, d) for r in sol.real_roots(near_real_tol)),
-        )
-        diagnostics.append(
-            PathDiagnostics(
-                path_id=i,
-                tau=tau,
-                n_roots=sol.n_roots,
-                n_path_failures=sol.n_path_failures,
-            )
-        )
-    result = match.run_matching(
-        a, path_solutions, d, delta=opts.delta, ground_truth=ground_truth
+        roots = tuple(_blocks(r, n_i, d) for r in sol.real_roots(near_real_tol))
+        return match.PathSolutions(i, links, roots), sol.n_roots, sol.n_path_failures
+
+    path_solutions, diagnostics = _per_path(
+        a, samples, exact_mixes, "exact_mixes", model.gh_mgf, opts, choose_tau, solve
     )
+    result = match.run_matching(a, path_solutions, d, delta=opts.delta)
+    result = replace(result, error_norm=_error_norm(result.weights, ground_truth))
     if exact_mixes is not None:
         for j, row in enumerate(result.weights):
             try:
@@ -570,7 +601,9 @@ def estimate_gh(
     With ``exact_mixes`` this is ``algebraic_gh``.  On ``samples`` alone it is
     the binned likelihood fit from the uniform weights and random restarts,
     which takes no ``tau`` or ``delta``, reports no per-path diagnostics and
-    a NaN ``delta``.  Returns (MatchResult, diagnostics).
+    a ``delta`` of None.  ``ground_truth``, when given, must have the
+    estimate's shape, and ``error_norm`` is their distance.  Returns
+    (MatchResult, diagnostics).
     """
     if exact_mixes is not None:
         return algebraic_gh(
@@ -588,26 +621,15 @@ def estimate_gh(
     _check_identifiable(a)
     w_free = _likelihood_polish(a, lambdas, samples, opts.solver_seed)
     weights = np.column_stack([w_free, 1.0 - w_free.sum(axis=1)])
-    error_norm = None
-    if ground_truth is not None:
-        truth = np.asarray(ground_truth, dtype=float)
-        error_norm = float(np.linalg.norm((weights - truth).ravel()))
     result = match.MatchResult(
         weights=weights,
         provenance=tuple(
             {"link": j, "paths": sorted(g)} for j, g in enumerate(a.sets.link_paths)
         ),
-        delta=float("nan"),
-        error_norm=error_norm,
+        delta=None,
+        error_norm=_error_norm(weights, ground_truth),
     )
     return result, []
-
-
-def _default_mean_tau(n_i: int, mean_scale: float) -> tuple[float, ...]:
-    """Probe points keeping t * E[Y] moderate so 1/MGF stays well estimated."""
-    if n_i == 1:
-        return (1.0 / mean_scale,)
-    return tuple(np.geomspace(0.2 / mean_scale, 2.0 / mean_scale, n_i))
 
 
 def estimate_exp(
@@ -621,45 +643,35 @@ def estimate_exp(
     """Estimate per-link exponential means.
 
     ``samples`` is a per-path sequence of delay arrays; ``exact_means`` a
-    vector of true link means enabling the analytic-MGF mode.  Returns
-    (means array, MatchResult, per-path diagnostics).
+    vector of true link means enabling the analytic-MGF mode.  Each path's
+    probe points, unless given, keep t * E[Y] moderate so that 1/MGF stays
+    well estimated.  ``ground_truth``, when given, is a vector of link means
+    and ``error_norm`` the estimate's distance from it.  Returns (means
+    array, MatchResult, per-path diagnostics).
     """
     opts = options or EstimateOptions()
-    if samples is None and exact_means is None:
-        raise ValueError("need either samples or exact_means")
-    _check_identifiable(a)
-    if exact_means is None:
-        _check_samples(a, samples)
-    path_means: dict[int, np.ndarray] = {}
-    diagnostics = []
-    for i in range(a.n_paths):
-        links = tuple(sorted(a.path_links(i)))
-        n_i = len(links)
-        if exact_means is not None:
+
+    def mean_scaled_tau(i, links, path_samples):
+        if path_samples is None:
             scale = float(sum(exact_means[j] for j in links))
         else:
-            scale = float(np.mean(samples[i]))
-        if opts.tau is not None and i in opts.tau:
-            tau = tuple(opts.tau[i])
-        else:
-            tau = _default_mean_tau(n_i, scale)
-        if exact_means is not None:
-            path_m = [float(exact_means[j]) for j in links]
+            scale = float(np.mean(path_samples))
+        if len(links) == 1:
+            return (1.0 / scale,)
+        return tuple(np.geomspace(0.2 / scale, 2.0 / scale, len(links)))
 
-            def exact(t, _m=path_m):
-                return math.prod(1.0 / (1.0 + t * mj) for mj in _m)
-
-            system = expmeans.build_mean_system(tau, n_i, exact_mgf=exact)
-        else:
-            system = expmeans.build_mean_system(tau, n_i, samples=samples[i])
-        means, flagged = expmeans.solve_means(system)
-        path_means[i] = means
-        diagnostics.append(
-            PathDiagnostics(
-                path_id=i, tau=tau, n_roots=len(means), n_path_failures=int(flagged),
-            )
+    def solve(i, links, tau, path_samples, exact_mgf):
+        system = expmeans.build_mean_system(
+            tau, len(links), samples=path_samples, exact_mgf=exact_mgf
         )
-    means, result = expmeans.match_means(
-        a, path_means, delta=opts.delta, ground_truth=ground_truth
+        means, flagged = expmeans.solve_means(system)
+        return means, len(means), int(flagged)
+
+    def exp_mgf(mean, t):
+        return 1.0 / (1.0 + t * float(mean))
+
+    path_means, diagnostics = _per_path(
+        a, samples, exact_means, "exact_means", exp_mgf, opts, mean_scaled_tau, solve
     )
-    return means, result, diagnostics
+    means, result = expmeans.match_means(a, path_means, delta=opts.delta)
+    return means, replace(result, error_norm=_error_norm(means, ground_truth)), diagnostics

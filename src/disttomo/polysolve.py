@@ -102,19 +102,17 @@ def newton_refine(
     return NewtonResult(x, float(np.linalg.norm(fval)), False, suspect)
 
 
-def _dedup(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Merge near-coincident points; order is made deterministic by sorting."""
-    if not points:
-        return []
+def _dedup(points: list[np.ndarray], tol: float) -> list[int]:
+    """Indices of the points left after merging near-coincident ones; the
+    order is made deterministic by sorting."""
     order = sorted(
         range(len(points)),
         key=lambda i: tuple(np.round(points[i], 9).view(float)),
     )
-    kept: list[np.ndarray] = []
+    kept: list[int] = []
     for i in order:
-        p = points[i]
-        if all(np.linalg.norm(p - q) >= tol for q in kept):
-            kept.append(p)
+        if all(np.linalg.norm(points[i] - points[k]) >= tol for k in kept):
+            kept.append(i)
     return kept
 
 
@@ -177,14 +175,13 @@ def solve_system(system: EpsSystem, seed: int = 0) -> SolutionSet:
                     "root with near-singular Jacobian flagged suspect and kept",
                     stacklevel=2,
                 )
-            endpoints.append(ref.point)
+            endpoints.append(ref)
     if not endpoints:
         raise RuntimeError("no candidate root converged; system may be degenerate")
-    roots = _dedup(endpoints, _DEDUP_TOL)
-    ev = system.evaluator
+    kept = [endpoints[k] for k in _dedup([ref.point for ref in endpoints], _DEDUP_TOL)]
     return SolutionSet(
-        roots=tuple(roots),
-        residuals=tuple(float(np.linalg.norm(ev(p)[0])) for p in roots),
+        roots=tuple(ref.point for ref in kept),
+        residuals=tuple(ref.residual for ref in kept),
         n_path_failures=len(candidates) - len(endpoints),
         n_paths=len(candidates),
     )
@@ -203,7 +200,7 @@ def reduce_first_components(
         alpha = np.asarray(r)[:d]
         if np.abs(alpha.imag).max() < near_real_tol:
             firsts.append(alpha.real.copy())
-    return _dedup(firsts, _DEDUP_TOL)
+    return [firsts[k] for k in _dedup(firsts, _DEDUP_TOL)]
 
 
 def solve_univariate(coeffs, refine_tol: float = 1e-12) -> np.ndarray:

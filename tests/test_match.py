@@ -47,15 +47,6 @@ class TestRunMatching:
                 set(entry["paths"]) & {b for b in sets.off_paths[j]}
             )
 
-    def test_error_norm_against_truth(self):
-        truth = np.array(
-            [[0.17, 0.80, 0.03], [0.13, 0.47, 0.40], [0.80, 0.15, 0.05]]
-        )
-        result = run_matching(
-            EXPT1, self.build_solutions(), d=2, ground_truth=truth
-        )
-        assert result.error_norm == pytest.approx(0.0, abs=1e-12)
-
     def test_explicit_delta_respected(self):
         result = run_matching(
             EXPT1, self.build_solutions(), d=2, delta=0.03
@@ -106,12 +97,6 @@ class TestLeastDisagreement:
         sols[1] = PathSolutions(path_id=1, links=(0, 2), root_blocks=())
         with pytest.raises(AmbiguityError, match="path 1 has no real root"):
             run_matching(EXPT1, sols, d=2)
-
-    def test_ground_truth_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            run_matching(
-                EXPT1, self.noisy_solutions(), d=2, ground_truth=np.zeros((2, 3))
-            )
 
 
 class TestAgainstCombinationLoop:

@@ -1,9 +1,11 @@
+import re
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from disttomo import experiments, match, mgfest, pipeline, polysolve
+from disttomo import epsbuild, experiments, expmeans, match, mgfest, pipeline, polysolve
 from disttomo.model import GhMix, RoutingMatrix
 from disttomo.simulate import sample_paths
 
@@ -31,7 +33,7 @@ class TestSampledLikelihoodFit:
         monkeypatch.setattr(mgfest, "choose_tau", _forbidden)
         result, diagnostics = pipeline.estimate_gh(EXPT1, RATES, samples=samples)
         assert np.allclose(result.weights.sum(axis=1), 1.0)
-        assert np.isnan(result.delta)
+        assert result.delta is None
         assert result.provenance[0] == {"link": 0, "paths": [0, 1]}
         assert diagnostics == []
 
@@ -489,3 +491,111 @@ class TestSampleChecks:
         samples, message = self._samples(case)
         with pytest.raises(ValueError, match=message):
             pipeline.estimate_exp(EXPT1, samples=samples)
+
+
+class TestGroundTruth:
+    """Every estimator compares its estimate with a ground truth of the
+    estimate's own shape."""
+
+    MEANS = [1.0, 2.0, 3.0]
+    TRUTH = {"algebraic_gh": WEIGHTS, "estimate_gh": WEIGHTS, "estimate_exp": MEANS}
+
+    def _run(self, estimator, ground_truth=None):
+        """(estimate, MatchResult) of one estimator on expt1."""
+        mixes = [GhMix(RATES, w) for w in WEIGHTS]
+        if estimator == "algebraic_gh":
+            result, _ = pipeline.algebraic_gh(
+                EXPT1, RATES, exact_mixes=mixes, ground_truth=ground_truth
+            )
+            return result.weights, result
+        if estimator == "estimate_gh":
+            samples = sample_paths(EXPT1, mixes, 20_000, seed=0).samples
+            result, _ = pipeline.estimate_gh(
+                EXPT1, RATES, samples=samples, ground_truth=ground_truth
+            )
+            return result.weights, result
+        means, result, _ = pipeline.estimate_exp(
+            EXPT1, exact_means=self.MEANS, ground_truth=ground_truth
+        )
+        return means, result
+
+    @pytest.mark.parametrize("estimator", sorted(TRUTH))
+    def test_error_norm_against_truth(self, estimator):
+        truth = np.array(self.TRUTH[estimator])
+        estimate, result = self._run(estimator, truth)
+        assert result.error_norm == float(np.linalg.norm((estimate - truth).ravel()))
+        if estimator != "estimate_gh":  # the exact modes recover the truth
+            assert result.error_norm < 1e-8
+        assert self._run(estimator)[1].error_norm is None
+
+    @pytest.mark.parametrize("estimator, truth", [
+        pytest.param("algebraic_gh", WEIGHTS[0], id="algebraic_gh-row"),
+        pytest.param("algebraic_gh", np.zeros((2, 3)), id="algebraic_gh-rows"),
+        pytest.param("estimate_gh", WEIGHTS[0], id="estimate_gh-row"),
+        pytest.param("estimate_gh", np.zeros((2, 3)), id="estimate_gh-rows"),
+        pytest.param("estimate_exp", [2.0], id="estimate_exp-short"),
+        pytest.param("estimate_exp", np.zeros((3, 1)), id="estimate_exp-column"),
+    ])
+    def test_ground_truth_shape_mismatch_rejected(self, estimator, truth):
+        shape = (3,) if estimator == "estimate_exp" else (3, 3)
+        message = f"ground truth shape {np.shape(truth)} != estimate shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._run(estimator, truth)
+
+
+class TestExactValueCount:
+    """Exact mode takes one exact mixture or mean per link."""
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_estimate_gh_rejects(self, count):
+        mixes = [GhMix(RATES, WEIGHTS[k % 3]) for k in range(count)]
+        with pytest.raises(ValueError, match=f"exact_mixes lists {count} values for 3 links"):
+            pipeline.estimate_gh(EXPT1, RATES, exact_mixes=mixes)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_estimate_exp_rejects(self, count):
+        means = [1.0, 2.0, 3.0, 4.0][:count]
+        with pytest.raises(ValueError, match=f"exact_means lists {count} values for 3 links"):
+            pipeline.estimate_exp(EXPT1, exact_means=means)
+
+
+class TestStagesCalledThroughTheirModules:
+    """The estimators reach each stage through its module's attribute, so a
+    tracer that rebinds the attribute sees every call."""
+
+    @staticmethod
+    def _record(monkeypatch, stages):
+        calls = Counter()
+        for module, name in stages:
+            original = getattr(module, name)
+
+            def recorder(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorder)
+        return calls
+
+    def test_estimate_exp(self, monkeypatch):
+        calls = self._record(monkeypatch, [
+            (expmeans, "build_mean_system"), (expmeans, "solve_means"),
+            (expmeans, "match_means"), (expmeans, "run_matching"),
+        ])
+        pipeline.estimate_exp(EXPT1, exact_means=[1.0, 2.0, 3.0])
+        assert calls == {
+            "build_mean_system": 2, "solve_means": 2, "match_means": 1, "run_matching": 1,
+        }
+
+    def test_algebraic_gh(self, monkeypatch):
+        calls = self._record(monkeypatch, [
+            (mgfest, "choose_tau"), (mgfest, "assemble_constants"),
+            (epsbuild, "build_t_tau"), (epsbuild, "build_eps"),
+            (epsbuild, "assemble_system"), (polysolve, "solve_system"),
+            (match, "run_matching"),
+        ])
+        pipeline.algebraic_gh(EXPT1, RATES, exact_mixes=[GhMix(RATES, w) for w in WEIGHTS])
+        # both paths have two links, so they share one elementary system
+        assert calls == {
+            "choose_tau": 2, "assemble_constants": 2, "build_t_tau": 2, "build_eps": 1,
+            "assemble_system": 2, "solve_system": 2, "run_matching": 1,
+        }
