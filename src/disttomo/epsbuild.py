@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -130,16 +130,6 @@ class SparsePoly:
             ),
             0j,
         )
-
-    def derivative(self, var: int) -> "SparsePoly":
-        out = SparsePoly(self.nvars)
-        for exps, c in self.terms.items():
-            e = exps[var]
-            if e:
-                new = list(exps)
-                new[var] = e - 1
-                out.add_term(tuple(new), c * e)
-        return out
 
     def __eq__(self, other):
         return isinstance(other, SparsePoly) and self.nvars == other.nvars and {
@@ -342,18 +332,9 @@ class EpsSystem:
     n_i: int
     d: int
 
-    @property
-    def nvars(self) -> int:
-        return self.polynomials[0].nvars
-
-    @cached_property
-    def evaluator(self) -> _SystemEvaluator:
-        """Joint value/Jacobian evaluator, built once per system."""
-        return _SystemEvaluator(self)
-
     def residual(self, x) -> np.ndarray:
         """E(x) - u at a (possibly complex) point."""
-        return self.evaluator(np.asarray(x, dtype=complex))[0]
+        return np.array([p(x) for p in self.polynomials]) - self.rhs
 
     def stage_relations(self) -> np.ndarray:
         """The b with z_k z_r = b[k, r] z_k + b[r, k] z_r for every stage pair.
@@ -374,39 +355,6 @@ class EpsSystem:
                     exps[var_index(n, r, d)] = 1
                     b[k - 1, r - 1] = complex(h.terms.get(tuple(exps), 0)).real
         return b
-
-
-class _SystemEvaluator:
-    """Joint value/Jacobian evaluation of E(x) - u via one monomial table."""
-
-    def __init__(self, system: EpsSystem):
-        self.n = len(system.polynomials)
-        self.nvars = system.nvars
-        self.rhs = np.asarray(system.rhs, dtype=complex)
-        mono_index: dict[tuple[int, ...], int] = {}
-        rows = []  # (row, exps, coeff) over F rows then Jacobian rows
-        for i, p in enumerate(system.polynomials):
-            for exps, c in p.terms.items():
-                rows.append((i, exps, complex(c)))
-            for v in range(self.nvars):
-                dp = p.derivative(v)
-                for exps, c in dp.terms.items():
-                    rows.append((self.n + i * self.nvars + v, exps, complex(c)))
-        for _, exps, _ in rows:
-            if exps not in mono_index:
-                mono_index[exps] = len(mono_index)
-        self.expmat = np.array(sorted(mono_index, key=mono_index.get), dtype=np.int64)
-        ncols = len(mono_index)
-        self.cmat = np.zeros((self.n * (1 + self.nvars), ncols), dtype=complex)
-        for row, exps, c in rows:
-            self.cmat[row, mono_index[exps]] += c
-
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mono = np.prod(x[None, :] ** self.expmat, axis=1)
-        out = self.cmat @ mono
-        f = out[: self.n] - self.rhs
-        jac = out[self.n:].reshape(self.n, self.nvars)
-        return f, jac
 
 
 def assemble_system(

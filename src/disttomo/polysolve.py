@@ -8,14 +8,14 @@ factor into a degree-d polynomial in s with a fixed leading coefficient and
 the right-hand side into one polynomial Q(s) of degree N*d.  The roots of
 E(x) = u are therefore exactly the ordered splits of Q's roots into N groups
 of d, (N*d)! / (d!)^N of them (the m-homogeneous Bezout number), and each
-group gives its link's weights in closed form.  Every candidate is
-Newton-polished against the system and the converged ones deduplicated.
+group gives its link's weights in closed form.  Those candidates are the
+roots, exact up to the rounding of Q's roots; near-coincident ones are
+merged.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,27 +27,26 @@ from .epsbuild import EpsSystem
 __all__ = [
     "SolutionSet",
     "solve_system",
-    "newton_refine",
-    "NewtonResult",
     "reduce_first_components",
     "solve_univariate",
 ]
 
 
-# Candidate polish, the Jacobian condition number above which a root is
-# flagged suspect, and the deduplication radius.
-_REFINE_TOL = 1e-10
-_REFINE_MAX_ITER = 50
-_SINGULAR_COND = 1e12
+# Radius within which two roots are merged, and the residual, relative to the
+# coefficient scale, at which solve_univariate's Newton polish stops.
 _DEDUP_TOL = 1e-6
+_UNIVARIATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Deduplicated roots of one system."""
+    """Deduplicated roots of one system.
+
+    ``n_paths`` counts the candidate splits of Q's roots.  Every candidate is
+    a root, so ``n_path_failures`` is 0 by construction.
+    """
 
     roots: tuple[np.ndarray, ...]
-    residuals: tuple[float, ...]
     n_path_failures: int
     n_paths: int
 
@@ -58,48 +57,6 @@ class SolutionSet:
     def real_roots(self, tol: float) -> list[np.ndarray]:
         """Roots whose imaginary parts are below ``tol``, projected to real."""
         return [r.real.copy() for r in self.roots if np.abs(r.imag).max() < tol]
-
-
-@dataclass(frozen=True)
-class NewtonResult:
-    point: np.ndarray
-    residual: float
-    converged: bool
-    suspect: bool
-
-
-def newton_refine(
-    system: EpsSystem, x0, tol: float = 1e-10, max_iter: int = 30
-) -> NewtonResult:
-    """Newton-polish a candidate root of E(x) = u.
-
-    Returns a diverged (non-converged) result when the iteration cap is hit
-    or the iterate blows up; flags the root as suspect when the Jacobian is
-    numerically singular near it.
-    """
-    ev = system.evaluator
-    x = np.asarray(x0, dtype=complex).copy()
-    suspect = False
-    for _ in range(max_iter):
-        fval, jac = ev(x)
-        res = float(np.linalg.norm(fval))
-        if res < tol:
-            if np.linalg.cond(jac) > _SINGULAR_COND:
-                suspect = True
-            return NewtonResult(x, res, True, suspect)
-        try:
-            if np.linalg.cond(jac) > _SINGULAR_COND:
-                suspect = True
-                break
-            delta = np.linalg.solve(jac, -fval)
-        except np.linalg.LinAlgError:
-            suspect = True
-            break
-        x = x + delta
-        if np.linalg.norm(x) > 1e12:
-            break
-    fval, _ = ev(x)
-    return NewtonResult(x, float(np.linalg.norm(fval)), False, suspect)
 
 
 def _dedup(points: list[np.ndarray], tol: float) -> list[int]:
@@ -159,30 +116,16 @@ def _candidates(system: EpsSystem) -> list[np.ndarray]:
 
 
 def solve_system(system: EpsSystem, seed: int = 0) -> SolutionSet:
-    """Find all isolated roots of E(x) = u by factoring Q(s).
+    """All isolated roots of E(x) = u, one per distinct split of Q's roots.
 
-    ``n_paths`` counts the candidate splits and ``n_path_failures`` those
-    whose Newton polish did not converge.  ``seed`` is unused; the solve is
-    deterministic.
+    The candidates are exact up to the rounding of Q's roots, so they are
+    returned as computed, near-coincident ones merged.  ``seed`` is unused;
+    the solve is deterministic.
     """
     candidates = _candidates(system)
-    endpoints = []
-    for x0 in candidates:
-        ref = newton_refine(system, x0, tol=_REFINE_TOL, max_iter=_REFINE_MAX_ITER)
-        if ref.converged:
-            if ref.suspect:
-                warnings.warn(
-                    "root with near-singular Jacobian flagged suspect and kept",
-                    stacklevel=2,
-                )
-            endpoints.append(ref)
-    if not endpoints:
-        raise RuntimeError("no candidate root converged; system may be degenerate")
-    kept = [endpoints[k] for k in _dedup([ref.point for ref in endpoints], _DEDUP_TOL)]
     return SolutionSet(
-        roots=tuple(ref.point for ref in kept),
-        residuals=tuple(ref.residual for ref in kept),
-        n_path_failures=len(candidates) - len(endpoints),
+        roots=tuple(candidates[k] for k in _dedup(candidates, _DEDUP_TOL)),
+        n_path_failures=0,
         n_paths=len(candidates),
     )
 
@@ -203,11 +146,11 @@ def reduce_first_components(
     return [firsts[k] for k in _dedup(firsts, _DEDUP_TOL)]
 
 
-def solve_univariate(coeffs, refine_tol: float = 1e-12) -> np.ndarray:
+def solve_univariate(coeffs) -> np.ndarray:
     """All complex roots of a univariate polynomial, highest degree first.
 
     Companion-matrix eigenvalues (numpy.roots) polished by a few Newton
-    steps to residual below ``refine_tol`` relative to the leading scale.
+    steps to residual below ``_UNIVARIATE_TOL`` relative to the leading scale.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or len(coeffs) < 2:
@@ -219,7 +162,8 @@ def solve_univariate(coeffs, refine_tol: float = 1e-12) -> np.ndarray:
     scale = np.abs(coeffs).max()
     for _ in range(20):
         vals = np.polyval(coeffs, roots)
-        if np.abs(vals).max() <= refine_tol * scale * (1 + np.abs(roots).max() ** (len(coeffs) - 1)):
+        bound = _UNIVARIATE_TOL * scale * (1 + np.abs(roots).max() ** (len(coeffs) - 1))
+        if np.abs(vals).max() <= bound:
             break
         dvals = np.polyval(deriv, roots)
         safe = np.abs(dvals) > 1e-300
