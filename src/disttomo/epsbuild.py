@@ -7,7 +7,9 @@ the rational basis functions Lambda_k(t).  Expanding each basis product
 into powers of single Lambda_k and collecting coefficients yields a square
 system of d*N_i polynomials h_kq in the d*N_i unknown weights, paired with
 an invertible evaluation matrix T_tau that is the only place the probe
-points tau enter.
+points tau enter: the path's right-hand side u solves T_tau u = c.  The
+solver needs only u and ``stage_relations``; ``build_eps`` is the paper's
+explicit system, the reference the tests check the solver against.
 
 Variables are indexed (link slot j in [N_i], stage k in [d]) and flattened
 as (j-1)*d + (k-1), 0-based.  Equations are ordered h_11..h_1Ni, h_21, ...
@@ -27,15 +29,14 @@ import numpy as np
 __all__ = [
     "CompositionL",
     "SparsePoly",
-    "EpsSystem",
     "enumerate_compositions",
     "g_poly",
     "beta_coeff",
+    "stage_relations",
     "gamma_coeff",
     "expand_lambda_power",
     "build_eps",
     "build_t_tau",
-    "assemble_system",
     "lambda_basis",
     "canonical_poly_value",
 ]
@@ -131,11 +132,6 @@ class SparsePoly:
             0j,
         )
 
-    def __eq__(self, other):
-        return isinstance(other, SparsePoly) and self.nvars == other.nvars and {
-            k: complex(v) for k, v in self.terms.items()
-        } == {k: complex(v) for k, v in other.terms.items()}
-
     def __repr__(self):
         return f"SparsePoly(nvars={self.nvars}, terms={self.terms!r})"
 
@@ -186,6 +182,23 @@ def beta_coeff(j: int, k: int, lambdas):
         return _one_like(lambdas)
     lj, lk, last = lambdas[j - 1], lambdas[k - 1], lambdas[-1]
     return lj * (lk - last) / (lj - lk)
+
+
+def stage_relations(lambdas) -> np.ndarray:
+    """The b with z_k z_r = b[k, r] z_k + b[r, k] z_r for every stage pair.
+
+    z_k is stage k's basis function over the last rate, and
+    b[k, r] = beta_coeff(k, r) / lambda_{d+1}: in ``build_eps(N, d, lambdas)``
+    for any N >= 2 it is the coefficient of x_{1k}...x_{N-1,k} x_{Nr} in
+    h_{k,N-1}.  The diagonal is 0.
+    """
+    d = len(lambdas) - 1
+    b = np.zeros((d, d))
+    for k in range(1, d + 1):
+        for r in range(1, d + 1):
+            if r != k:
+                b[k - 1, r - 1] = beta_coeff(k, r, lambdas) / lambdas[-1]
+    return b
 
 
 def _one_like(lambdas):
@@ -317,60 +330,6 @@ def _t_tau_stack(taus: np.ndarray, n_i: int, lambdas) -> np.ndarray:
     q = np.arange(1, n_i + 1)
     mat = basis[..., None] ** q * last ** (n_i - q)  # (..., dN, d, N_i)
     return mat.reshape(taus.shape + (taus.shape[-1],))
-
-
-@dataclass(frozen=True)
-class EpsSystem:
-    """A square polynomial system E(x) = u of one path.
-
-    ``rhs`` is obtained by a linear solve against the evaluation matrix,
-    never by explicit inversion.
-    """
-
-    polynomials: tuple[SparsePoly, ...]
-    rhs: np.ndarray
-    n_i: int
-    d: int
-
-    def residual(self, x) -> np.ndarray:
-        """E(x) - u at a (possibly complex) point."""
-        return np.array([p(x) for p in self.polynomials]) - self.rhs
-
-    def stage_relations(self) -> np.ndarray:
-        """The b with z_k z_r = b[k, r] z_k + b[r, k] z_r for every stage pair.
-
-        z_k is stage k's basis function over the last rate.  Expanding
-        z_k^{N-1} z_r puts b[k, r] alone on z_k^{N-1}, so it is the
-        coefficient of x_{1k}...x_{N-1,k} x_{Nr} in h_{k,N-1}.  Needs N >= 2.
-        """
-        n, d = self.n_i, self.d
-        b = np.zeros((d, d))
-        for k in range(1, d + 1):
-            h = self.polynomials[(k - 1) * n + n - 2]
-            for r in range(1, d + 1):
-                if r != k:
-                    exps = [0] * (n * d)
-                    for j in range(1, n):
-                        exps[var_index(j, k, d)] = 1
-                    exps[var_index(n, r, d)] = 1
-                    b[k - 1, r - 1] = complex(h.terms.get(tuple(exps), 0)).real
-        return b
-
-
-def assemble_system(
-    polys: list[SparsePoly],
-    t_tau: np.ndarray,
-    c_hat,
-    *,
-    n_i: int,
-    d: int,
-) -> EpsSystem:
-    """Pair the polynomial map with the right-hand side solved from c_hat."""
-    c_hat = np.asarray(c_hat, dtype=float)
-    if t_tau.shape != (len(polys), len(polys)) or c_hat.shape != (len(polys),):
-        raise ValueError("dimension mismatch between polynomials, matrix and constants")
-    rhs = np.linalg.solve(t_tau, c_hat)
-    return EpsSystem(polynomials=tuple(polys), rhs=rhs, n_i=n_i, d=d)
 
 
 def canonical_poly_value(x, t: float, n_i: int, d: int, lambdas, mu_t: float) -> complex:

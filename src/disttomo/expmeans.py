@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .epsbuild import EpsSystem, SparsePoly
 from .match import PathSolutions, run_matching
 from .mgfest import empirical_mgf
 from .model import RoutingMatrix
@@ -27,8 +26,6 @@ __all__ = [
     "build_mean_system",
     "solve_means",
     "match_means",
-    "elementary_symmetric_polys",
-    "mean_system_as_eps",
 ]
 
 _IMAG_TOL = 1e-8
@@ -110,31 +107,6 @@ def solve_means(system: MeanSystem):
             stacklevel=2,
         )
     return means, flagged
-
-
-def elementary_symmetric_polys(n: int) -> list[SparsePoly]:
-    """The n elementary symmetric polynomials e_1..e_n in n variables."""
-    polys = []
-    for k in range(1, n + 1):
-        p = SparsePoly(n)
-        for subset in combinations(range(n), k):
-            exps = [0] * n
-            for v in subset:
-                exps[v] = 1
-            p.add_term(tuple(exps), 1)
-        polys.append(p)
-    return polys
-
-
-def mean_system_as_eps(system: MeanSystem) -> EpsSystem:
-    """The multivariate formulation of the same solve, for cross-checking."""
-    n = system.n_links
-    return EpsSystem(
-        polynomials=tuple(elementary_symmetric_polys(n)),
-        rhs=np.asarray(system.esp, dtype=float),
-        n_i=n,
-        d=1,
-    )
 
 
 def match_means(

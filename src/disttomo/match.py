@@ -11,7 +11,9 @@ the true combination costs about 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .model import RoutingMatrix
@@ -23,10 +25,12 @@ __all__ = ["MatchResult", "PathSolutions", "AmbiguityError", "run_matching"]
 _TIE_RTOL = 1e-9
 _TIE_ATOL = 1e-12
 _SAME_TOL = 1e-6
+# The search allocates a few arrays of this many combinations per link.
+_MAX_COMBINATIONS = 10**6
 
 
 class AmbiguityError(RuntimeError):
-    """No root, or no unique best combination of roots, across the paths."""
+    """No root, no unique best combination of roots, or too many to search."""
 
 
 @dataclass(frozen=True)
@@ -72,16 +76,25 @@ def run_matching(
     blocks are stacked into a (combinations, blocks, d) array, which gives
     one cost per combination; the first least cost wins, and one mask
     finds the combinations tied with it.
-    Raises ``AmbiguityError`` when a path has no real root, when two
-    combinations tie at the least cost and give different link weights, or
-    when ``delta`` is given and some block lies more than ``delta`` from its
-    link's estimate.  ``MatchResult.delta`` is the given ``delta`` or, when
-    none is given, the largest block-to-estimate distance.
+    Raises ``AmbiguityError`` when a path has no real root, when the root
+    counts multiply to more than ``_MAX_COMBINATIONS`` (before allocating),
+    when two combinations tie at the least cost and give different link
+    weights, or when ``delta`` is given and some block lies more than
+    ``delta`` from its link's estimate.  ``MatchResult.delta`` is the given
+    ``delta`` or, when none is given, the largest block-to-estimate distance.
     """
     pids = sorted(path_solutions)
     for pid in pids:
         if not path_solutions[pid].root_blocks:
             raise AmbiguityError(f"path {pid} has no real root")
+    counts = [len(path_solutions[pid].root_blocks) for pid in pids]
+    n_combos = math.prod(counts)
+    if n_combos > _MAX_COMBINATIONS:
+        per_path = ", ".join(f"path {pid}: {n}" for pid, n in zip(pids, counts))
+        raise AmbiguityError(
+            f"{n_combos} root combinations ({per_path}) exceed the "
+            f"{_MAX_COMBINATIONS} the exhaustive search allows"
+        )
     # (position in pids, slot in that path's root) of every block of a link
     slots = [
         [
@@ -94,7 +107,7 @@ def run_matching(
     roots = [np.array(path_solutions[pid].root_blocks) for pid in pids]  # (roots, N_i, d)
     # every combination of one root per path, in ``itertools.product`` order:
     # combos[k] holds path k's root index in each
-    combos = np.indices([r.shape[0] for r in roots]).reshape(len(pids), -1)
+    combos = np.indices(counts).reshape(len(pids), -1)
     # per link, its blocks under every combination: (combinations, blocks, d)
     stacks = [
         np.stack([roots[k][combos[k], s] for k, s in link_slots], axis=1)

@@ -1,7 +1,7 @@
 """End-to-end estimators.
 
 ``algebraic_gh`` is the paper's method: each path is processed
-independently (probe selection, MGF estimation, system construction,
+independently (probe selection, MGF estimation, right-hand side,
 all-roots solve) and the per-path real roots are then matched across
 paths to produce one estimate per link.  ``estimate_gh`` runs it on exact
 MGFs and a binned maximum-likelihood fit over all paths on samples.
@@ -44,7 +44,6 @@ class PathDiagnostics:
     path_id: int
     tau: tuple[float, ...]
     n_roots: int
-    n_path_failures: int
 
 
 def _blocks(root: np.ndarray, n_i: int, d: int) -> tuple[np.ndarray, ...]:
@@ -501,7 +500,7 @@ def _per_path(a, samples, exact, exact_name, link_mgf, opts, default_tau, solve)
     ``opts.tau[i]``, or else ``default_tau(i, links, path_samples)``, and
     calls ``solve(i, links, tau, path_samples, exact_mgf)``, where exactly one
     of ``path_samples`` and ``exact_mgf`` (the product of the path's link
-    MGFs) is None.  ``solve`` returns (solution, root count, failure count).
+    MGFs) is None.  ``solve`` returns (solution, root count).
     Returns (solutions by path, one ``PathDiagnostics`` per path).
     """
     if samples is None and exact is None:
@@ -528,8 +527,8 @@ def _per_path(a, samples, exact, exact_name, link_mgf, opts, default_tau, solve)
             tau = tuple(opts.tau[i])
         else:
             tau = default_tau(i, links, path_samples)
-        solutions[i], n_roots, n_failures = solve(i, links, tau, path_samples, exact_mgf)
-        diagnostics.append(PathDiagnostics(i, tau, n_roots, n_failures))
+        solutions[i], n_roots = solve(i, links, tau, path_samples, exact_mgf)
+        diagnostics.append(PathDiagnostics(i, tau, n_roots))
     return solutions, diagnostics
 
 
@@ -546,15 +545,15 @@ def algebraic_gh(
 
     Per path: probe points (``mgfest.choose_tau`` unless given), MGF
     constants (empirical from ``samples``, or analytic from ``exact_mixes``
-    when given), the elementary polynomial system and all its roots; then
-    ``match.run_matching`` matches the roots across paths.
+    when given), the right-hand side u from T_tau u = c and all roots of
+    the path's system from u and the rates; then ``match.run_matching``
+    matches the roots across paths.
     Returns (MatchResult, diagnostics) and raises ``match.AmbiguityError``
     when matching fails.  With ``exact_mixes``, a row that is not a valid
     mixture raises ``RuntimeError``: noise-free data admits no such answer.
     """
     opts = options or EstimateOptions()
     d = len(lambdas) - 1
-    eps_cache: dict[int, list[epsbuild.SparsePoly]] = {}
     near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact_mixes is None else _NEAR_REAL_TOL_EXACT
 
     def choose_tau(i, links, _):
@@ -564,12 +563,10 @@ def algebraic_gh(
         n_i = len(links)
         t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
         probe = mgfest.assemble_constants(path_samples, tau, n_i, lambdas, exact_mgf=exact_mgf)
-        if n_i not in eps_cache:
-            eps_cache[n_i] = epsbuild.build_eps(n_i, d, lambdas)
-        system = epsbuild.assemble_system(eps_cache[n_i], t_tau, probe.c_hat, n_i=n_i, d=d)
-        sol = polysolve.solve_system(system)
+        rhs = np.linalg.solve(t_tau, probe.c_hat)
+        sol = polysolve.solve_system(rhs, n_i, lambdas)
         roots = tuple(_blocks(r, n_i, d) for r in sol.real_roots(near_real_tol))
-        return match.PathSolutions(i, links, roots), sol.n_roots, sol.n_path_failures
+        return match.PathSolutions(i, links, roots), sol.n_roots
 
     path_solutions, diagnostics = _per_path(
         a, samples, exact_mixes, "exact_mixes", model.gh_mgf, opts, choose_tau, solve
@@ -664,8 +661,8 @@ def estimate_exp(
         system = expmeans.build_mean_system(
             tau, len(links), samples=path_samples, exact_mgf=exact_mgf
         )
-        means, flagged = expmeans.solve_means(system)
-        return means, len(means), int(flagged)
+        means, _ = expmeans.solve_means(system)
+        return means, len(means)
 
     def exp_mgf(mean, t):
         return 1.0 / (1.0 + t * float(mean))

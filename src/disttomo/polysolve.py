@@ -3,13 +3,14 @@
 A path's system E(x) = u states, for every probe value t, that
 prod_j (1 + sum_k x_jk z_k) = 1 + sum_{k,q} u_kq z_k^q, where
 z_k = Lambda_k(t) / lambda_{d+1}.  Each w_k = 1/z_k is affine in one
-parameter s, so multiplying through by (prod_k w_k)^N turns every link's
-factor into a degree-d polynomial in s with a fixed leading coefficient and
-the right-hand side into one polynomial Q(s) of degree N*d.  The roots of
-E(x) = u are therefore exactly the ordered splits of Q's roots into N groups
-of d, (N*d)! / (d!)^N of them (the m-homogeneous Bezout number), and each
-group gives its link's weights in closed form.  Those candidates are the
-roots, exact up to the rounding of Q's roots; near-coincident ones are
+parameter s (``epsbuild.stage_relations``), so multiplying through by
+(prod_k w_k)^N turns every link's factor into a degree-d polynomial in s
+with a fixed leading coefficient and the right-hand side into one
+polynomial Q(s) of degree N*d, built from u and the rates alone.  The roots
+of E(x) = u are therefore exactly the ordered splits of Q's roots into N
+groups of d, (N*d)! / (d!)^N of them (the m-homogeneous Bezout number), and
+each group gives its link's weights in closed form.  Those candidates are
+the roots, exact up to the rounding of Q's roots; near-coincident ones are
 merged.
 """
 
@@ -22,7 +23,7 @@ from itertools import combinations
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .epsbuild import EpsSystem
+from .epsbuild import stage_relations
 
 __all__ = [
     "SolutionSet",
@@ -32,10 +33,8 @@ __all__ = [
 ]
 
 
-# Radius within which two roots are merged, and the residual, relative to the
-# coefficient scale, at which solve_univariate's Newton polish stops.
+# Radius within which two roots are merged.
 _DEDUP_TOL = 1e-6
-_UNIVARIATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,14 +83,13 @@ def _splits(items: tuple[int, ...], d: int):
             yield (group,) + tail
 
 
-def _candidates(system: EpsSystem) -> list[np.ndarray]:
+def _candidates(u: np.ndarray, n: int, lambdas) -> list[np.ndarray]:
     """One weight vector per ordered split of Q's roots into link factors."""
-    n, d = system.n_i, system.d
-    u = np.asarray(system.rhs, dtype=complex)
+    d = len(lambdas) - 1
     if n == 1:
         return [u.copy()]  # h_k1 = x_1k: the system is x = u
     # w_1 = s; the relation 1 = b_1r w_r + b_r1 w_1 gives every other w_r.
-    b = system.stage_relations()
+    b = stage_relations(lambdas)
     w = [Polynomial([0.0, 1.0])] + [
         Polynomial([1.0, -b[r, 0]]) / b[0, r] for r in range(1, d)
     ]
@@ -115,14 +113,23 @@ def _candidates(system: EpsSystem) -> list[np.ndarray]:
     ]
 
 
-def solve_system(system: EpsSystem, seed: int = 0) -> SolutionSet:
+def solve_system(rhs, n_i: int, lambdas) -> SolutionSet:
     """All isolated roots of E(x) = u, one per distinct split of Q's roots.
 
-    The candidates are exact up to the rounding of Q's roots, so they are
-    returned as computed, near-coincident ones merged.  ``seed`` is unused;
-    the solve is deterministic.
+    ``rhs`` is u, the d*N_i values solved from T_tau u = c, for a path of
+    ``n_i`` links over the d+1 rates ``lambdas``.  The candidates are exact
+    up to the rounding of Q's roots, so they are returned as computed,
+    near-coincident ones merged.  Raises ``ValueError`` when ``rhs`` does not
+    hold d*N_i values.
     """
-    candidates = _candidates(system)
+    u = np.asarray(rhs, dtype=complex)
+    need = n_i * (len(lambdas) - 1)
+    if u.shape != (need,):
+        raise ValueError(
+            f"right-hand side has {u.size} values; a path of {n_i} links over "
+            f"{len(lambdas)} rates needs {need}"
+        )
+    candidates = _candidates(u, n_i, lambdas)
     return SolutionSet(
         roots=tuple(candidates[k] for k in _dedup(candidates, _DEDUP_TOL)),
         n_path_failures=0,
@@ -147,25 +154,11 @@ def reduce_first_components(
 
 
 def solve_univariate(coeffs) -> np.ndarray:
-    """All complex roots of a univariate polynomial, highest degree first.
-
-    Companion-matrix eigenvalues (numpy.roots) polished by a few Newton
-    steps to residual below ``_UNIVARIATE_TOL`` relative to the leading scale.
-    """
+    """All complex roots of a univariate polynomial, highest degree first,
+    as the companion-matrix eigenvalues of ``numpy.roots``."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or len(coeffs) < 2:
         raise ValueError("need a polynomial of degree >= 1")
     if coeffs[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    roots = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
-    scale = np.abs(coeffs).max()
-    for _ in range(20):
-        vals = np.polyval(coeffs, roots)
-        bound = _UNIVARIATE_TOL * scale * (1 + np.abs(roots).max() ** (len(coeffs) - 1))
-        if np.abs(vals).max() <= bound:
-            break
-        dvals = np.polyval(deriv, roots)
-        safe = np.abs(dvals) > 1e-300
-        roots[safe] = roots[safe] - vals[safe] / dvals[safe]
-    return roots
+    return np.roots(coeffs)

@@ -6,9 +6,7 @@ import pytest
 
 from disttomo.epsbuild import (
     CompositionL,
-    EpsSystem,
     SparsePoly,
-    assemble_system,
     beta_coeff,
     build_eps,
     build_t_tau,
@@ -18,6 +16,7 @@ from disttomo.epsbuild import (
     g_poly,
     gamma_coeff,
     lambda_basis,
+    stage_relations,
     var_index,
 )
 from disttomo.model import GhMix, gh_mgf
@@ -236,6 +235,9 @@ class TestBuildTTau:
 
 
 class TestAssembleSystem:
+    """The run-time inputs of the factored solve: the right-hand side u from
+    T_tau u = c, and the stage relations of the rates."""
+
     def exact_probe(self, mixes, tau, n_i):
         last = RATES[-1]
         mgf = [math.prod(gh_mgf(m, t) for m in mixes) for t in tau]
@@ -246,13 +248,10 @@ class TestAssembleSystem:
             GhMix(RATES, (0.17, 0.80, 0.03)),
             GhMix(RATES, (0.13, 0.47, 0.40)),
         ]
-        polys = build_eps(2, 2, RATES)
         rhs = []
         for tau in [(1.9857, 2.3782, 0.3581, 8.8619), (0.5, 1.1, 2.3, 4.9)]:
             t_mat = build_t_tau(tau, 2, 2, RATES)
-            c = self.exact_probe(mixes, tau, 2)
-            system = assemble_system(polys, t_mat, c, n_i=2, d=2)
-            rhs.append(system.rhs)
+            rhs.append(np.linalg.solve(t_mat, self.exact_probe(mixes, tau, 2)))
         np.testing.assert_allclose(rhs[0], rhs[1], rtol=1e-9, atol=1e-11)
 
     def test_true_weights_solve_the_system(self):
@@ -263,30 +262,37 @@ class TestAssembleSystem:
         polys = build_eps(2, 2, RATES)
         tau = (1.9857, 2.3782, 0.3581, 8.8619)
         t_mat = build_t_tau(tau, 2, 2, RATES)
-        system = assemble_system(
-            polys, t_mat, self.exact_probe(mixes, tau, 2), n_i=2, d=2
-        )
+        rhs = np.linalg.solve(t_mat, self.exact_probe(mixes, tau, 2))
         x_true = np.array([0.17, 0.80, 0.13, 0.47])
-        assert np.abs(system.residual(x_true)).max() < 1e-10
+        assert np.abs(np.array([p(x_true) for p in polys]) - rhs).max() < 1e-10
 
-    def test_dimension_mismatch_rejected(self):
-        polys = build_eps(2, 2, RATES)
-        t_mat = build_t_tau((0.5, 1.1, 2.3, 4.9), 2, 2, RATES)
-        with pytest.raises(ValueError, match="mismatch"):
-            assemble_system(polys, t_mat, [1.0, 2.0], n_i=2, d=2)
+    def test_stage_relations_are_coefficients_of_the_expanded_system(self):
+        # b[k, r] is the coefficient of x_1k...x_{N-1,k} x_Nr in h_{k,N-1}
+        # of the paper's system, bit for bit, on paths of 2 to 4 links.
+        rng = np.random.default_rng(13)
+        for n_i in range(2, 5):
+            for d in range(1, 4):
+                lambdas = tuple(np.sort(rng.uniform(0.3, 9.0, d + 1))[::-1].tolist())
+                polys = build_eps(n_i, d, lambdas)
+                b = stage_relations(lambdas)
+                assert b.shape == (d, d)
+                for k in range(1, d + 1):
+                    h = polys[(k - 1) * n_i + n_i - 2]
+                    for r in range(1, d + 1):
+                        if r == k:
+                            continue
+                        exps = [0] * (n_i * d)
+                        for j in range(1, n_i):
+                            exps[var_index(j, k, d)] = 1
+                        exps[var_index(n_i, r, d)] = 1
+                        assert b[k - 1, r - 1] == h.terms[tuple(exps)]
 
     def test_stage_relations_hold_at_every_probe_value(self):
-        # z_k z_r = b[k, r] z_k + b[r, k] z_r with z_k = Lambda_k(t) / last,
-        # read off the polynomials of paths of 2 to 4 links.
+        # z_k z_r = b[k, r] z_k + b[r, k] z_r with z_k = Lambda_k(t) / last.
         rng = np.random.default_rng(11)
         for _ in range(10):
             _, d, lambdas = random_instance(rng)
-            n_i = int(rng.integers(2, 5))
-            polys = build_eps(n_i, d, lambdas)
-            system = EpsSystem(
-                polynomials=tuple(polys), rhs=np.zeros(len(polys)), n_i=n_i, d=d
-            )
-            b = system.stage_relations()
+            b = stage_relations(lambdas)
             for t in rng.uniform(0.05, 10.0, 5):
                 z = [lambda_basis(k, t, lambdas) / lambdas[-1] for k in range(1, d + 1)]
                 for k in range(d):

@@ -98,6 +98,22 @@ class TestLeastDisagreement:
         with pytest.raises(AmbiguityError, match="path 1 has no real root"):
             run_matching(EXPT1, sols, d=2)
 
+    def test_too_many_combinations_raise(self):
+        # two paths sharing one link, with 1001 x 1000 one-block roots
+        shared = RoutingMatrix(((1,), (1,)))
+        sols = {
+            pid: PathSolutions(
+                path_id=pid,
+                links=(0,),
+                root_blocks=tuple((np.array([0.001 * k, 0.5]),) for k in range(n)),
+            )
+            for pid, n in ((0, 1001), (1, 1000))
+        }
+        with pytest.raises(
+            AmbiguityError, match=r"1001000 root combinations \(path 0: 1001, path 1: 1000\)"
+        ):
+            run_matching(shared, sols, d=2)
+
 
 class TestAgainstCombinationLoop:
     """The array search picks what scoring each combination in turn picks."""

@@ -589,13 +589,11 @@ class TestStagesCalledThroughTheirModules:
     def test_algebraic_gh(self, monkeypatch):
         calls = self._record(monkeypatch, [
             (mgfest, "choose_tau"), (mgfest, "assemble_constants"),
-            (epsbuild, "build_t_tau"), (epsbuild, "build_eps"),
-            (epsbuild, "assemble_system"), (polysolve, "solve_system"),
+            (epsbuild, "build_t_tau"), (polysolve, "solve_system"),
             (match, "run_matching"),
         ])
         pipeline.algebraic_gh(EXPT1, RATES, exact_mixes=[GhMix(RATES, w) for w in WEIGHTS])
-        # both paths have two links, so they share one elementary system
         assert calls == {
-            "choose_tau": 2, "assemble_constants": 2, "build_t_tau": 2, "build_eps": 1,
-            "assemble_system": 2, "solve_system": 2, "run_matching": 1,
+            "choose_tau": 2, "assemble_constants": 2, "build_t_tau": 2,
+            "solve_system": 2, "run_matching": 1,
         }
