@@ -346,12 +346,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate per-link distributions")
     p_est.add_argument("--topology", required=True)
-    p_est.add_argument("--samples", default=None)
-    p_est.add_argument("--model", choices=("gh", "exp"), default="gh")
-    p_est.add_argument("--tau", default="auto")
-    p_est.add_argument("--delta", default="auto")
-    p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--exact-mgf", action="store_true")
+    p_est.add_argument(
+        "--samples", default=None,
+        help="CSV of path_id,sample_index,value rows; required unless --exact-mgf",
+    )
+    p_est.add_argument(
+        "--model", choices=("gh", "exp"), default="gh",
+        help="gh: per-link weights over the topology's 'rates'; exp: per-link "
+             "exponential means (default: gh)",
+    )
+    p_est.add_argument(
+        "--tau", default="auto",
+        help="probe points of exp, or of gh with --exact-mgf: 'auto' (default) "
+             "chooses each path's; a comma list is every path's, d per link "
+             "(d = 1 for exp)",
+    )
+    p_est.add_argument(
+        "--delta", default="auto",
+        help="bound on the matched roots' disagreement, for exp or gh with "
+             "--exact-mgf: 'auto' (default) reports the largest block-to-estimate "
+             "distance; a positive real fails a run (exit 3) whose distance exceeds it",
+    )
+    p_est.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds gh's probe-point draws and likelihood-fit starts (default: 0)",
+    )
+    p_est.add_argument(
+        "--exact-mgf", action="store_true",
+        help="use the topology's ground truth ('links' or 'means') as noise-free "
+             "analytic MGFs instead of samples",
+    )
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=cmd_estimate)
 

@@ -1,47 +1,23 @@
-"""Per-link exponential-mean estimation from path delay samples.
+"""Right-hand side of the exponential-means variant.
 
-When every link delay is exponential, the reciprocal of a path's MGF is a
-polynomial whose coefficients are the elementary symmetric polynomials of
-the link means.  Solving a Vandermonde system for those coefficients and
-rooting the corresponding monic polynomial (Vieta) recovers the means of
-the links on the path; cross-path matching then pins each mean to its
-link.  The multivariate formulation has exactly the permutations of the
-mean vector as its solution set, so the univariate reduction is lossless.
+When every link delay is exponential, the reciprocal of a path's MGF is
+prod_j (1 + m_j t) = 1 + sum_k e_k t^k, whose coefficients e_k are the
+elementary symmetric polynomials of the path's link means m_j.
+``build_mean_system`` solves a Vandermonde system for them from the MGF at
+the path's probe points.  Those values are the right-hand side u of a d = 1
+path system E(x) = u, whose roots are exactly the permutations of the mean
+vector, so ``pipeline.estimate_exp`` solves and matches them with the
+stages of ``algebraic_gh``: ``polysolve.solve_system`` and
+``match.run_matching``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from itertools import permutations
-
 import numpy as np
 
-from .match import PathSolutions, run_matching
 from .mgfest import empirical_mgf
-from .model import RoutingMatrix
 
-__all__ = [
-    "MeanSystem",
-    "build_mean_system",
-    "solve_means",
-    "match_means",
-]
-
-_IMAG_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class MeanSystem:
-    """Vandermonde-solved elementary symmetric values of one path's means,
-    from the MGF at the probe points ``tau``."""
-
-    tau: tuple[float, ...]
-    esp: tuple[float, ...]
-
-    @property
-    def n_links(self) -> int:
-        return len(self.esp)
+__all__ = ["build_mean_system"]
 
 
 def build_mean_system(
@@ -49,12 +25,13 @@ def build_mean_system(
     n_i: int,
     samples=None,
     exact_mgf=None,
-) -> MeanSystem:
-    """Invert the path MGF at the probe points and solve for the symmetric
-    functions of the link means.
+) -> np.ndarray:
+    """Invert the path MGF at the probe points and solve for the elementary
+    symmetric values e_1, ..., e_{n_i} of the link means.
 
     Exactly one of ``samples`` or ``exact_mgf`` must be given.  Raises when
-    an MGF value is zero (reciprocal blow-up; choose a smaller probe point).
+    an MGF value lies outside (0, 1] (reciprocal blow-up; choose a smaller
+    probe point).
     """
     tau = tuple(float(t) for t in tau)
     if len(tau) != n_i or len(set(tau)) != n_i or any(t <= 0 for t in tau):
@@ -71,69 +48,4 @@ def build_mean_system(
         )
     c = [1.0 / v for v in mgf]
     vand = np.array([[t ** k for k in range(1, n_i + 1)] for t in tau])
-    esp = np.linalg.solve(vand, np.asarray(c) - 1.0)
-    return MeanSystem(tau=tau, esp=tuple(float(e) for e in esp))
-
-
-def solve_means(system: MeanSystem):
-    """Recover the path's link means as roots of the monic Vieta polynomial.
-
-    Returns (means, degenerate_flag); complex root pairs beyond the
-    imaginary tolerance flag noisy data and only real parts are returned.
-    Near-coincident means are flagged degenerate (the model assumes all
-    link means distinct).
-    """
-    n = system.n_links
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    for k in range(1, n + 1):
-        coeffs[k] = (-1.0) ** k * system.esp[k - 1]
-    roots = np.roots(coeffs)
-    flagged = bool(np.abs(roots.imag).max(initial=0.0) > _IMAG_TOL)
-    if flagged:
-        warnings.warn(
-            "complex mean estimates truncated to real parts; data too noisy "
-            "or probe points ill-chosen",
-            stacklevel=2,
-        )
-    means = np.sort(roots.real)
-    # A coincident pair splits by ~sqrt(machine eps) under rounding of the
-    # polynomial coefficients, so the gap test must be looser than that.
-    if n > 1 and np.min(np.diff(means)) < 1e-6 * max(1.0, np.abs(means).max()):
-        flagged = True
-        warnings.warn(
-            "nearly coincident link means on one path; the model assumes "
-            "distinct means and the solve is degenerate here",
-            stacklevel=2,
-        )
-    return means, flagged
-
-
-def match_means(
-    a: RoutingMatrix,
-    path_means: dict[int, np.ndarray],
-    delta: float | None = None,
-):
-    """Assign one mean per link by the same least-disagreement search as
-    the weight-vector case, over every ordering of each path's means.
-
-    ``path_means`` maps path index to the solved means of that path;
-    ``delta``, when given, bounds how far any path's mean may lie from its
-    link's estimate.  Returns (means array of length N, MatchResult).
-    """
-    path_solutions = {}
-    for i, means in path_means.items():
-        links = tuple(sorted(a.path_links(i)))
-        if len(means) != len(links):
-            raise ValueError(
-                f"path {i}: {len(means)} means for {len(links)} links"
-            )
-        # The multivariate solution set is exactly the permutation orbit of
-        # the mean vector, so the full root list can be reconstituted.
-        roots = tuple(
-            tuple(np.array([m], dtype=float) for m in perm)
-            for perm in sorted(set(permutations(means)))
-        )
-        path_solutions[i] = PathSolutions(path_id=i, links=links, root_blocks=roots)
-    result = run_matching(a, path_solutions, d=1, delta=delta)
-    return result.weights[:, 0].copy(), result
+    return np.linalg.solve(vand, np.asarray(c) - 1.0)

@@ -3,8 +3,11 @@
 ``algebraic_gh`` is the paper's method: each path is processed
 independently (probe selection, MGF estimation, right-hand side,
 all-roots solve) and the per-path real roots are then matched across
-paths to produce one estimate per link.  ``estimate_gh`` runs it on exact
-MGFs and a binned maximum-likelihood fit over all paths on samples.
+paths to produce one estimate per link.  ``estimate_exp`` is the same
+chain at d = 1 with its own probe points and right-hand side, the
+elementary symmetric values of the path's link means; ``_per_path`` runs
+the chain for both.  ``estimate_gh`` runs ``algebraic_gh`` on exact MGFs
+and a binned maximum-likelihood fit over all paths on samples.
 Topologies that are not 1-identifiable are rejected up front.
 """
 
@@ -27,6 +30,9 @@ __all__ = [
 # into a complex conjugate pair whose real part still estimates the pair well.
 _NEAR_REAL_TOL_EXACT = 1e-6
 _NEAR_REAL_TOL_SAMPLED = 0.35
+# The rates of ``estimate_exp``'s d = 1 path systems.  A d = 1 system has
+# no stage relation, so its roots do not depend on them.
+_EXP_RATES = (2.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -44,10 +50,6 @@ class PathDiagnostics:
     path_id: int
     tau: tuple[float, ...]
     n_roots: int
-
-
-def _blocks(root: np.ndarray, n_i: int, d: int) -> tuple[np.ndarray, ...]:
-    return tuple(root[j * d:(j + 1) * d] for j in range(n_i))
 
 
 def _check_identifiable(a: model.RoutingMatrix) -> None:
@@ -491,17 +493,21 @@ def _error_norm(estimate: np.ndarray, ground_truth) -> float | None:
     return float(np.linalg.norm((estimate - truth).ravel()))
 
 
-def _per_path(a, samples, exact, exact_name, link_mgf, opts, default_tau, solve):
-    """The per-path half of an algebraic estimator, shared by both.
+def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_tau, rhs):
+    """The chain of an algebraic estimator, shared by both: every path's
+    roots, then the match across paths.
 
     Checks the input: one of ``samples`` (checked by ``_check_samples``) or
     ``exact``, one exact value per link, whose MGF is ``link_mgf(value, t)``,
     and an identifiable topology.  Then, per path, takes the probe points
-    ``opts.tau[i]``, or else ``default_tau(i, links, path_samples)``, and
-    calls ``solve(i, links, tau, path_samples, exact_mgf)``, where exactly one
-    of ``path_samples`` and ``exact_mgf`` (the product of the path's link
-    MGFs) is None.  ``solve`` returns (solution, root count).
-    Returns (solutions by path, one ``PathDiagnostics`` per path).
+    ``opts.tau[i]``, or else ``default_tau(i, links, path_samples)``, and the
+    right-hand side ``rhs(tau, n_i, path_samples, exact_mgf)``, where exactly
+    one of ``path_samples`` and ``exact_mgf`` (the product of the path's link
+    MGFs) is None.  ``polysolve.solve_system`` finds all roots of the path's
+    system over the rates ``lambdas``; those whose imaginary parts stay below
+    ``_NEAR_REAL_TOL_EXACT``, or ``_NEAR_REAL_TOL_SAMPLED`` on samples, count
+    as real.  ``match.run_matching`` picks one real root per path, with
+    ``opts.delta``.  Returns (MatchResult, one ``PathDiagnostics`` per path).
     """
     if samples is None and exact is None:
         raise ValueError(f"need either samples or {exact_name}")
@@ -510,10 +516,13 @@ def _per_path(a, samples, exact, exact_name, link_mgf, opts, default_tau, solve)
         _check_samples(a, samples)
     elif len(exact) != a.n_links:
         raise ValueError(f"{exact_name} lists {len(exact)} values for {a.n_links} links")
+    d = len(lambdas) - 1
+    near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact is None else _NEAR_REAL_TOL_EXACT
     solutions = {}
     diagnostics: list[PathDiagnostics] = []
     for i in range(a.n_paths):
         links = tuple(sorted(a.path_links(i)))
+        n_i = len(links)
         if exact is None:
             path_samples, exact_mgf = samples[i], None
         else:
@@ -527,9 +536,11 @@ def _per_path(a, samples, exact, exact_name, link_mgf, opts, default_tau, solve)
             tau = tuple(opts.tau[i])
         else:
             tau = default_tau(i, links, path_samples)
-        solutions[i], n_roots = solve(i, links, tau, path_samples, exact_mgf)
-        diagnostics.append(PathDiagnostics(i, tau, n_roots))
-    return solutions, diagnostics
+        sol = polysolve.solve_system(rhs(tau, n_i, path_samples, exact_mgf), n_i, lambdas)
+        roots = tuple(tuple(r.reshape(n_i, d)) for r in sol.real_roots(near_real_tol))
+        solutions[i] = match.PathSolutions(i, links, roots)
+        diagnostics.append(PathDiagnostics(i, tau, sol.n_roots))
+    return match.run_matching(a, solutions, d, delta=opts.delta), diagnostics
 
 
 def algebraic_gh(
@@ -549,29 +560,29 @@ def algebraic_gh(
     the path's system from u and the rates; then ``match.run_matching``
     matches the roots across paths.
     Returns (MatchResult, diagnostics) and raises ``match.AmbiguityError``
-    when matching fails.  With ``exact_mixes``, a row that is not a valid
-    mixture raises ``RuntimeError``: noise-free data admits no such answer.
+    when matching fails.  Each of ``exact_mixes`` must be a mixture over
+    ``lambdas``, or ``ValueError`` names its link.  With ``exact_mixes``, a
+    row that is not a valid mixture raises ``RuntimeError``: noise-free data
+    admits no such answer.
     """
     opts = options or EstimateOptions()
     d = len(lambdas) - 1
-    near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact_mixes is None else _NEAR_REAL_TOL_EXACT
+    rates = tuple(float(r) for r in lambdas)
+    for j, mix in enumerate(exact_mixes or ()):
+        if mix.rates != rates:
+            raise ValueError(f"exact_mixes: link {j} has rates {mix.rates}, not lambdas {rates}")
 
     def choose_tau(i, links, _):
         return mgfest.choose_tau(len(links), d, lambdas, seed=opts.tau_seed + 7919 * i)
 
-    def solve(i, links, tau, path_samples, exact_mgf):
-        n_i = len(links)
+    def rhs(tau, n_i, path_samples, exact_mgf):
         t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
         probe = mgfest.assemble_constants(path_samples, tau, n_i, lambdas, exact_mgf=exact_mgf)
-        rhs = np.linalg.solve(t_tau, probe.c_hat)
-        sol = polysolve.solve_system(rhs, n_i, lambdas)
-        roots = tuple(_blocks(r, n_i, d) for r in sol.real_roots(near_real_tol))
-        return match.PathSolutions(i, links, roots), sol.n_roots
+        return np.linalg.solve(t_tau, probe.c_hat)
 
-    path_solutions, diagnostics = _per_path(
-        a, samples, exact_mixes, "exact_mixes", model.gh_mgf, opts, choose_tau, solve
+    result, diagnostics = _per_path(
+        a, lambdas, samples, exact_mixes, "exact_mixes", model.gh_mgf, opts, choose_tau, rhs
     )
-    result = match.run_matching(a, path_solutions, d, delta=opts.delta)
     result = replace(result, error_norm=_error_norm(result.weights, ground_truth))
     if exact_mixes is not None:
         for j, row in enumerate(result.weights):
@@ -640,13 +651,22 @@ def estimate_exp(
     """Estimate per-link exponential means.
 
     ``samples`` is a per-path sequence of delay arrays; ``exact_means`` a
-    vector of true link means enabling the analytic-MGF mode.  Each path's
-    probe points, unless given, keep t * E[Y] moderate so that 1/MGF stays
-    well estimated.  ``ground_truth``, when given, is a vector of link means
-    and ``error_norm`` the estimate's distance from it.  Returns (means
-    array, MatchResult, per-path diagnostics).
+    vector of true link means, each finite and > 0 or ``ValueError`` names
+    its link, enabling the analytic-MGF mode.  This is ``algebraic_gh``'s
+    chain at d = 1 (``_per_path``): each path's probe points, unless given,
+    keep t * E[Y] moderate so that 1/MGF stays well estimated; its
+    right-hand side is the elementary symmetric values of its link means
+    (``expmeans.build_mean_system``), whose roots are the permutations of
+    those means; ``match.run_matching`` then pins each mean to its link.
+    ``ground_truth``, when given, is a vector of link means and
+    ``error_norm`` the estimate's distance from it.  Returns (means array,
+    MatchResult, per-path diagnostics) and raises ``match.AmbiguityError``
+    when matching fails.
     """
     opts = options or EstimateOptions()
+    for j, mean in enumerate(exact_means if exact_means is not None else ()):
+        if not 0.0 < float(mean) < math.inf:
+            raise ValueError(f"exact_means: link {j} has mean {mean}; need finite and > 0")
 
     def mean_scaled_tau(i, links, path_samples):
         if path_samples is None:
@@ -657,18 +677,12 @@ def estimate_exp(
             return (1.0 / scale,)
         return tuple(np.geomspace(0.2 / scale, 2.0 / scale, len(links)))
 
-    def solve(i, links, tau, path_samples, exact_mgf):
-        system = expmeans.build_mean_system(
-            tau, len(links), samples=path_samples, exact_mgf=exact_mgf
-        )
-        means, _ = expmeans.solve_means(system)
-        return means, len(means)
-
     def exp_mgf(mean, t):
         return 1.0 / (1.0 + t * float(mean))
 
-    path_means, diagnostics = _per_path(
-        a, samples, exact_means, "exact_means", exp_mgf, opts, mean_scaled_tau, solve
+    result, diagnostics = _per_path(
+        a, _EXP_RATES, samples, exact_means, "exact_means", exp_mgf, opts, mean_scaled_tau,
+        expmeans.build_mean_system,
     )
-    means, result = expmeans.match_means(a, path_means, delta=opts.delta)
+    means = result.weights[:, 0].copy()
     return means, replace(result, error_norm=_error_norm(means, ground_truth)), diagnostics

@@ -559,6 +559,18 @@ class TestExactValueCount:
             pipeline.estimate_exp(EXPT1, exact_means=means)
 
 
+class TestExactMixRates:
+    """Each exact mixture must be over the estimator's rates."""
+
+    @pytest.mark.parametrize("rates", [(6.0, 3.0, 1.0), (5.0, 3.0, 1.0, 0.5)])
+    def test_algebraic_gh_rejects(self, rates):
+        mixes = [GhMix(RATES, WEIGHTS[0]), GhMix(rates, np.full(len(rates), 1.0 / len(rates))),
+                 GhMix(RATES, WEIGHTS[2])]
+        message = f"exact_mixes: link 1 has rates {rates}, not lambdas {RATES}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.algebraic_gh(EXPT1, RATES, exact_mixes=mixes)
+
+
 class TestStagesCalledThroughTheirModules:
     """The estimators reach each stage through its module's attribute, so a
     tracer that rebinds the attribute sees every call."""
@@ -578,13 +590,11 @@ class TestStagesCalledThroughTheirModules:
 
     def test_estimate_exp(self, monkeypatch):
         calls = self._record(monkeypatch, [
-            (expmeans, "build_mean_system"), (expmeans, "solve_means"),
-            (expmeans, "match_means"), (expmeans, "run_matching"),
+            (expmeans, "build_mean_system"), (polysolve, "solve_system"),
+            (match, "run_matching"),
         ])
         pipeline.estimate_exp(EXPT1, exact_means=[1.0, 2.0, 3.0])
-        assert calls == {
-            "build_mean_system": 2, "solve_means": 2, "match_means": 1, "run_matching": 1,
-        }
+        assert calls == {"build_mean_system": 2, "solve_system": 2, "run_matching": 1}
 
     def test_algebraic_gh(self, monkeypatch):
         calls = self._record(monkeypatch, [
