@@ -164,6 +164,8 @@ def _parse_tau(text: str | None, a: RoutingMatrix, d: int):
         values = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"--tau must be 'auto' or a comma list: {exc}") from exc
+    if not all(np.isfinite(values)):
+        raise ValidationError(f"--tau must be finite, got {text}")
     tau = {}
     for i in range(a.n_paths):
         need = d * len(a.path_links(i))
@@ -182,6 +184,8 @@ def _parse_delta(text: str | None):
         delta = float(text)
     except ValueError as exc:
         raise ValidationError(f"--delta must be 'auto' or a real: {exc}") from exc
+    if not np.isfinite(delta):
+        raise ValidationError(f"--delta must be finite, got {text}")
     if delta <= 0:
         raise ValidationError("--delta must be positive")
     return delta
@@ -394,9 +398,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (
         match.AmbiguityError,
         mgfest.TauSelectionError,

@@ -303,8 +303,8 @@ def build_t_tau(tau, n_i: int, d: int, lambdas, cond_limit: float = DEFAULT_COND
     tau = [float(t) for t in tau]
     if len(tau) != d * n_i:
         raise ValueError(f"need {d * n_i} probe points, got {len(tau)}")
-    if any(t <= 0 for t in tau):
-        raise ValueError("probe points must be strictly positive")
+    if not all(0 < t < math.inf for t in tau):
+        raise ValueError("probe points must be finite and strictly positive")
     if len(set(tau)) != len(tau):
         raise ValueError("probe points must be distinct (matrix would be singular)")
     mat = _t_tau_stack(np.array(tau), n_i, lambdas)

@@ -1,22 +1,23 @@
 """Empirical MGF estimation, probe-point selection and sample-size bounds.
 
-The estimator is a plain sample average of exp(-t*Y); since every summand
-lies in [0, 1], the Hoeffding inequality gives a distribution-free sample
-size guarantee per probe point, and a union bound extends it across the
-probe set.
+The algebraic estimators see a path's data only through its MGF, a
+callable t -> E[exp(-t*Y)]: ``empirical_mgf`` on samples, or an analytic
+product of the link MGFs.  ``assemble_constants`` turns its values at the
+probe points into the constant vector c of T_tau u = c.  The empirical MGF is a
+plain sample average of exp(-t*Y); since every summand lies in [0, 1], the
+Hoeffding inequality gives a distribution-free sample size guarantee per
+probe point, and a union bound extends it across the probe set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .epsbuild import DEFAULT_COND_LIMIT, _t_tau_stack
 
 __all__ = [
-    "MgfProbe",
     "empirical_mgf",
     "choose_tau",
     "assemble_constants",
@@ -30,28 +31,6 @@ class TauSelectionError(RuntimeError):
     """No acceptably conditioned probe set found within the retry budget."""
 
 
-@dataclass(frozen=True)
-class MgfProbe:
-    """MGF estimates at the probe points plus the derived constant vector.
-
-    mu_hat scales the MGF by (lambda_{d+1} + t)^{N_i}; c_hat subtracts the
-    constant lambda_{d+1}^{N_i} so the polynomial system's right-hand side
-    can be assembled by a linear solve.
-    """
-
-    tau: tuple[float, ...]
-    mgf_hat: tuple[float, ...]
-    mu_hat: tuple[float, ...]
-    c_hat: tuple[float, ...]
-    n_samples: int | None
-
-    def __post_init__(self):
-        if len(set(self.tau)) != len(self.tau) or any(t <= 0 for t in self.tau):
-            raise ValueError("probe points must be distinct and strictly positive")
-        if any(not (0.0 <= m <= 1.0 + 1e-12) for m in self.mgf_hat):
-            raise ValueError("MGF estimates must lie in [0, 1]")
-
-
 def empirical_mgf(samples, t: float) -> float:
     """Sample average of exp(-t * Y) over the observed delays."""
     samples = np.asarray(samples, dtype=float)
@@ -59,8 +38,8 @@ def empirical_mgf(samples, t: float) -> float:
         raise ValueError("need at least one sample")
     if samples.min() < 0:
         raise ValueError("delay samples must be nonnegative")
-    if t <= 0:
-        raise ValueError(f"t must be strictly positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and strictly positive, got {t}")
     return float(np.mean(np.exp(-t * samples)))
 
 
@@ -101,37 +80,16 @@ def choose_tau(
     return tuple(taus[admissible[np.argmin(amp)]].tolist())
 
 
-def assemble_constants(
-    samples,
-    tau,
-    n_i: int,
-    lambdas,
-    *,
-    exact_mgf=None,
-) -> MgfProbe:
-    """Estimate the MGF at each probe point and derive the constant vector.
+def assemble_constants(mgf, tau, n_i: int, lambdas) -> np.ndarray:
+    """The constant vector c of T_tau u = c from a path's MGF at its probe points.
 
-    ``exact_mgf``, when given, is a callable t -> MGF used instead of the
-    sample average (the ideal, noise-free mode).
+    ``mgf`` maps t to the path's MGF at t.  Entry j scales it by
+    (lambda_{d+1} + tau_j)^{N_i} and subtracts the constant lambda_{d+1}^{N_i}.
     """
-    tau = tuple(float(t) for t in tau)
     last = float(lambdas[-1])
-    if exact_mgf is not None:
-        mgf = [float(exact_mgf(t)) for t in tau]
-        count = None
-    else:
-        samples = np.asarray(samples, dtype=float)
-        mgf = [empirical_mgf(samples, t) for t in tau]
-        count = int(samples.size)
-    mu = [m * (last + t) ** n_i for m, t in zip(mgf, tau)]
-    c = [u - last ** n_i for u in mu]
-    return MgfProbe(
-        tau=tau,
-        mgf_hat=tuple(mgf),
-        mu_hat=tuple(mu),
-        c_hat=tuple(c),
-        n_samples=count,
-    )
+    return np.array([
+        float(mgf(t)) * (last + t) ** n_i - last ** n_i for t in map(float, tau)
+    ])
 
 
 def required_samples(eps: float, kappa: float, points: int = 1) -> int:

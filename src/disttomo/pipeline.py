@@ -1,12 +1,13 @@
 """End-to-end estimators.
 
 ``algebraic_gh`` is the paper's method: each path is processed
-independently (probe selection, MGF estimation, right-hand side,
+independently (probe selection, MGF at the probe points, right-hand side,
 all-roots solve) and the per-path real roots are then matched across
 paths to produce one estimate per link.  ``estimate_exp`` is the same
 chain at d = 1 with its own probe points and right-hand side, the
-elementary symmetric values of the path's link means; ``_per_path`` runs
-the chain for both.  ``estimate_gh`` runs ``algebraic_gh`` on exact MGFs
+elementary symmetric values of the path's link means.  ``_per_path`` runs
+the chain for both and hands each path to it as one MGF, a callable
+t -> MGF.  ``estimate_gh`` runs ``algebraic_gh`` on exact MGFs
 and a binned maximum-likelihood fit over all paths on samples.
 Topologies that are not 1-identifiable are rejected up front.
 """
@@ -497,20 +498,23 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
     """The chain of an algebraic estimator, shared by both: every path's
     roots, then the match across paths.
 
-    Checks the input: one of ``samples`` (checked by ``_check_samples``) or
-    ``exact``, one exact value per link, whose MGF is ``link_mgf(value, t)``,
-    and an identifiable topology.  Then, per path, takes the probe points
-    ``opts.tau[i]``, or else ``default_tau(i, links, path_samples)``, and the
-    right-hand side ``rhs(tau, n_i, path_samples, exact_mgf)``, where exactly
-    one of ``path_samples`` and ``exact_mgf`` (the product of the path's link
-    MGFs) is None.  ``polysolve.solve_system`` finds all roots of the path's
-    system over the rates ``lambdas``; those whose imaginary parts stay below
+    Checks the input: exactly one of ``samples`` (checked by
+    ``_check_samples``) and ``exact``, one exact value per link, whose MGF is
+    ``link_mgf(value, t)``, and an identifiable topology.  Then, per path,
+    builds its MGF ``mgf(t)``, ``mgfest.empirical_mgf`` of its samples or
+    the product of its links' MGFs: no later stage knows which.  Takes the
+    probe points ``opts.tau[i]``, or else ``default_tau(i, links)``, and the
+    right-hand side ``rhs(tau, n_i, mgf)``.
+    ``polysolve.solve_system`` finds all roots of the path's system over the
+    rates ``lambdas``; those whose imaginary parts stay below
     ``_NEAR_REAL_TOL_EXACT``, or ``_NEAR_REAL_TOL_SAMPLED`` on samples, count
     as real.  ``match.run_matching`` picks one real root per path, with
     ``opts.delta``.  Returns (MatchResult, one ``PathDiagnostics`` per path).
     """
     if samples is None and exact is None:
         raise ValueError(f"need either samples or {exact_name}")
+    if samples is not None and exact is not None:
+        raise ValueError(f"give exactly one of samples or {exact_name}")
     _check_identifiable(a)
     if exact is None:
         _check_samples(a, samples)
@@ -524,19 +528,17 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
         links = tuple(sorted(a.path_links(i)))
         n_i = len(links)
         if exact is None:
-            path_samples, exact_mgf = samples[i], None
+            def mgf(t, _y=np.asarray(samples[i], dtype=float)):
+                return mgfest.empirical_mgf(_y, t)
         else:
-            values = [exact[j] for j in links]
-            path_samples = None
-
-            def exact_mgf(t, _values=values):
+            def mgf(t, _values=tuple(exact[j] for j in links)):
                 return math.prod(link_mgf(v, t) for v in _values)
 
         if opts.tau is not None and i in opts.tau:
             tau = tuple(opts.tau[i])
         else:
-            tau = default_tau(i, links, path_samples)
-        sol = polysolve.solve_system(rhs(tau, n_i, path_samples, exact_mgf), n_i, lambdas)
+            tau = default_tau(i, links)
+        sol = polysolve.solve_system(rhs(tau, n_i, mgf), n_i, lambdas)
         roots = tuple(tuple(r.reshape(n_i, d)) for r in sol.real_roots(near_real_tol))
         solutions[i] = match.PathSolutions(i, links, roots)
         diagnostics.append(PathDiagnostics(i, tau, sol.n_roots))
@@ -554,11 +556,11 @@ def algebraic_gh(
 ):
     """The paper's algebraic estimator of every link's weight vector.
 
-    Per path: probe points (``mgfest.choose_tau`` unless given), MGF
-    constants (empirical from ``samples``, or analytic from ``exact_mixes``
-    when given), the right-hand side u from T_tau u = c and all roots of
-    the path's system from u and the rates; then ``match.run_matching``
-    matches the roots across paths.
+    Per path: probe points (``mgfest.choose_tau`` unless given), the
+    constants c from the path's MGF, empirical from ``samples`` or analytic
+    from ``exact_mixes`` (exactly one must be given), the right-hand side u
+    from T_tau u = c and all roots of the path's system from u and the
+    rates; then ``match.run_matching`` matches the roots across paths.
     Returns (MatchResult, diagnostics) and raises ``match.AmbiguityError``
     when matching fails.  Each of ``exact_mixes`` must be a mixture over
     ``lambdas``, or ``ValueError`` names its link.  With ``exact_mixes``, a
@@ -572,13 +574,12 @@ def algebraic_gh(
         if mix.rates != rates:
             raise ValueError(f"exact_mixes: link {j} has rates {mix.rates}, not lambdas {rates}")
 
-    def choose_tau(i, links, _):
+    def choose_tau(i, links):
         return mgfest.choose_tau(len(links), d, lambdas, seed=opts.tau_seed + 7919 * i)
 
-    def rhs(tau, n_i, path_samples, exact_mgf):
+    def rhs(tau, n_i, mgf):
         t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
-        probe = mgfest.assemble_constants(path_samples, tau, n_i, lambdas, exact_mgf=exact_mgf)
-        return np.linalg.solve(t_tau, probe.c_hat)
+        return np.linalg.solve(t_tau, mgfest.assemble_constants(mgf, tau, n_i, lambdas))
 
     result, diagnostics = _per_path(
         a, lambdas, samples, exact_mixes, "exact_mixes", model.gh_mgf, opts, choose_tau, rhs
@@ -606,7 +607,8 @@ def estimate_gh(
 ):
     """Estimate every link's weight vector over the shared rates ``lambdas``.
 
-    With ``exact_mixes`` this is ``algebraic_gh``.  On ``samples`` alone it is
+    With ``exact_mixes`` this is ``algebraic_gh``, which also refuses
+    ``samples`` beside them.  On ``samples`` alone it is
     the binned likelihood fit from the uniform weights and random restarts,
     which takes no ``tau`` or ``delta``, reports no per-path diagnostics and
     a ``delta`` of None.  ``ground_truth``, when given, must have the
@@ -615,7 +617,7 @@ def estimate_gh(
     """
     if exact_mixes is not None:
         return algebraic_gh(
-            a, lambdas, exact_mixes=exact_mixes, options=options,
+            a, lambdas, samples=samples, exact_mixes=exact_mixes, options=options,
             ground_truth=ground_truth,
         )
     if samples is None:
@@ -650,11 +652,12 @@ def estimate_exp(
 ):
     """Estimate per-link exponential means.
 
-    ``samples`` is a per-path sequence of delay arrays; ``exact_means`` a
-    vector of true link means, each finite and > 0 or ``ValueError`` names
-    its link, enabling the analytic-MGF mode.  This is ``algebraic_gh``'s
-    chain at d = 1 (``_per_path``): each path's probe points, unless given,
-    keep t * E[Y] moderate so that 1/MGF stays well estimated; its
+    Give exactly one of ``samples``, a per-path sequence of delay arrays,
+    and ``exact_means``, a vector of true link means, each finite and > 0
+    or ``ValueError`` names its link.  This is ``algebraic_gh``'s chain at
+    d = 1 (``_per_path``): each path's probe points, unless given, scale with
+    its mean delay (the sample mean, or the sum of its exact means) to keep
+    t * E[Y] moderate so that 1/MGF stays well estimated; its
     right-hand side is the elementary symmetric values of its link means
     (``expmeans.build_mean_system``), whose roots are the permutations of
     those means; ``match.run_matching`` then pins each mean to its link.
@@ -668,11 +671,11 @@ def estimate_exp(
         if not 0.0 < float(mean) < math.inf:
             raise ValueError(f"exact_means: link {j} has mean {mean}; need finite and > 0")
 
-    def mean_scaled_tau(i, links, path_samples):
-        if path_samples is None:
+    def mean_scaled_tau(i, links):
+        if samples is None:
             scale = float(sum(exact_means[j] for j in links))
         else:
-            scale = float(np.mean(path_samples))
+            scale = float(np.mean(samples[i]))
         if len(links) == 1:
             return (1.0 / scale,)
         return tuple(np.geomspace(0.2 / scale, 2.0 / scale, len(links)))

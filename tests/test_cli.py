@@ -249,6 +249,23 @@ class TestEstimate:
         assert cli.main(argv) == 2
         assert "probe points" in capsys.readouterr().err
 
+    # a gh path of the topology takes 4 probe points, an exp path 2
+    @pytest.mark.parametrize("model, tau_tail", [("gh", ",1,2,3"), ("exp", ",1")])
+    @pytest.mark.parametrize("option", ["--tau", "--delta"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_option_exits_2(
+        self, topo_path, exp_topo_path, capsys, model, tau_tail, option, bad
+    ):
+        value = bad + tau_tail if option == "--tau" else bad
+        topology = topo_path if model == "gh" else exp_topo_path
+        argv = [
+            "estimate", "--topology", topology, "--model", model, "--exact-mgf",
+            option, value,
+        ]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {option} must be finite, got {value}\n"
+
     @pytest.mark.parametrize(
         "option",
         [["--tau", "0.5,1.0,2.0,4.0"], ["--delta", "0.1"]],

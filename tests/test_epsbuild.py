@@ -206,6 +206,11 @@ class TestBuildTTau:
         with pytest.raises(ValueError):
             build_t_tau((1.0, -1.0, 2.0, 3.0), 2, 2, RATES)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            build_t_tau((1.0, bad, 2.0, 3.0), 2, 2, RATES)
+
     def test_random_distinct_taus_invertible(self):
         rng = np.random.default_rng(31)
         for _ in range(30):

@@ -7,6 +7,7 @@ import pytest
 from disttomo import expmeans, pipeline
 from disttomo.expmeans import build_mean_system
 from disttomo.match import AmbiguityError, PathSolutions, run_matching
+from disttomo.mgfest import empirical_mgf
 from disttomo.model import GhMix, RoutingMatrix
 from disttomo.polysolve import solve_system
 from disttomo.simulate import sample_paths
@@ -59,7 +60,7 @@ def _vieta_permutation_means(a, samples, taus, delta=None):
     solutions = {}
     for i, tau in taus.items():
         links = tuple(sorted(a.path_links(i)))
-        esp = build_mean_system(tau, len(links), samples=samples[i])
+        esp = build_mean_system(tau, len(links), lambda t, y=samples[i]: empirical_mgf(y, t))
         coeffs = np.concatenate([[1.0], (-1.0) ** np.arange(1, len(esp) + 1) * esp])
         means = np.sort(np.roots(coeffs).real)
         roots = tuple(
@@ -73,25 +74,28 @@ class TestBuildMeanSystem:
     def test_two_link_worked_example(self):
         # Means (1, 2): 1/MGF = (1+t)(1+2t) = 1 + 3t + 2t^2, so the
         # elementary symmetric values are e = (3, 2).
-        esp = build_mean_system((1.0, 2.0), 2, exact_mgf=exact_mgf_for_means([1.0, 2.0]))
+        esp = build_mean_system((1.0, 2.0), 2, exact_mgf_for_means([1.0, 2.0]))
         np.testing.assert_allclose(esp, (3.0, 2.0), atol=1e-12)
 
     def test_single_link(self):
-        esp = build_mean_system((0.7,), 1, exact_mgf=exact_mgf_for_means([1.0]))
+        esp = build_mean_system((0.7,), 1, exact_mgf_for_means([1.0]))
         assert esp[0] == pytest.approx(1.0)
 
     def test_sampled_mode_close_to_exact(self):
         rng = np.random.default_rng(0)
         n = 10**6
         samples = rng.exponential(1.0, n) + rng.exponential(2.0, n)
-        esp = build_mean_system((0.3, 0.8), 2, samples=samples)
+        esp = build_mean_system((0.3, 0.8), 2, lambda t: empirical_mgf(samples, t))
         np.testing.assert_allclose(esp, (3.0, 2.0), atol=0.05)
 
     def test_rejects_bad_tau_and_sources(self):
         with pytest.raises(ValueError, match="distinct"):
-            build_mean_system((1.0, 1.0), 2, exact_mgf=exact_mgf_for_means([1, 2]))
-        with pytest.raises(ValueError, match="exactly one"):
-            build_mean_system((1.0, 2.0), 2)
+            build_mean_system((1.0, 1.0), 2, exact_mgf_for_means([1, 2]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_tau(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build_mean_system((bad, 1.0), 2, exact_mgf_for_means([1.0, 2.0]))
 
 
 class TestSolveMeans:
@@ -100,7 +104,7 @@ class TestSolveMeans:
 
     @staticmethod
     def _check_roundtrip(tau, truth, atol):
-        esp = build_mean_system(tau, len(truth), exact_mgf=exact_mgf_for_means(truth))
+        esp = build_mean_system(tau, len(truth), exact_mgf_for_means(truth))
         roots = _real_roots(esp, len(truth))
         assert len(roots) == math.factorial(len(truth))
         for root in roots:
@@ -114,7 +118,7 @@ class TestSolveMeans:
 
     def test_duplicate_means_merge_to_one_root(self):
         # the two orderings of coincident means are one root
-        esp = build_mean_system((0.5, 1.5), 2, exact_mgf=exact_mgf_for_means([1.0, 1.0]))
+        esp = build_mean_system((0.5, 1.5), 2, exact_mgf_for_means([1.0, 1.0]))
         sol = solve_system(esp, 2, EXP_RATES)
         assert sol.n_roots == 1
         np.testing.assert_allclose(sol.roots[0].real, [1.0, 1.0], atol=1e-6)
@@ -141,7 +145,7 @@ class TestMultivariateEquivalence:
             while np.min(np.diff(truth)) < 0.1:
                 truth = np.sort(rng.uniform(0.3, 4.0, n_i))
             tau = tuple(np.geomspace(0.15, 1.5, n_i) * rng.uniform(0.9, 1.1))
-            esp = build_mean_system(tau, n_i, exact_mgf=exact_mgf_for_means(truth))
+            esp = build_mean_system(tau, n_i, exact_mgf_for_means(truth))
             sol = solve_system(esp, n_i, EXP_RATES)
             roots = sorted(tuple(np.round(r.real, 7)) for r in sol.roots)
             expected = sorted(

@@ -6,7 +6,6 @@ import pytest
 
 from disttomo.epsbuild import build_t_tau
 from disttomo.mgfest import (
-    MgfProbe,
     TauSelectionError,
     assemble_constants,
     choose_tau,
@@ -42,6 +41,12 @@ class TestEmpiricalMgf:
             empirical_mgf(np.array([-1.0]), 1.0)
         with pytest.raises(ValueError):
             empirical_mgf(np.array([1.0]), 0.0)
+
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_t(self, t):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            empirical_mgf(np.array([1.0]), t)
 
 
 class TestChooseTau:
@@ -118,28 +123,9 @@ class TestAssembleConstants:
         def exact(t):
             return gh_mgf(mixes[0], t) * gh_mgf(mixes[1], t)
 
-        probe = assemble_constants(None, tau, 2, RATES, exact_mgf=exact)
-        for t, mu, c in zip(probe.tau, probe.mu_hat, probe.c_hat):
-            assert mu == pytest.approx(exact(t) * (1.0 + t) ** 2, rel=1e-12)
-            assert c == pytest.approx(mu - 1.0, rel=1e-12)
-
-    def test_sampled_mode_records_count(self):
-        samples = np.random.default_rng(0).exponential(1.0, size=500)
-        probe = assemble_constants(samples, (0.5, 1.0), 1, (2.0, 1.0))
-        assert probe.n_samples == 500
-        assert len(probe.mgf_hat) == 2
-
-    def test_probe_invariants(self):
-        with pytest.raises(ValueError, match="distinct"):
-            MgfProbe(
-                tau=(1.0, 1.0), mgf_hat=(0.5, 0.5), mu_hat=(1.0, 1.0),
-                c_hat=(0.0, 0.0), n_samples=None,
-            )
-        with pytest.raises(ValueError, match="lie in"):
-            MgfProbe(
-                tau=(1.0, 2.0), mgf_hat=(1.5, 0.5), mu_hat=(1.0, 1.0),
-                c_hat=(0.0, 0.0), n_samples=None,
-            )
+        c_hat = assemble_constants(exact, tau, 2, RATES)
+        for t, c in zip(tau, c_hat):
+            assert c == pytest.approx(exact(t) * (1.0 + t) ** 2 - 1.0, rel=1e-12)
 
 
 class TestRequiredSamples:

@@ -596,6 +596,20 @@ class TestStagesCalledThroughTheirModules:
         pipeline.estimate_exp(EXPT1, exact_means=[1.0, 2.0, 3.0])
         assert calls == {"build_mean_system": 2, "solve_system": 2, "run_matching": 1}
 
+    # one empirical_mgf call per probe point: 2 paths of 2 links, with d = 2
+    # probe points per link for gh and 1 for exp
+    @pytest.mark.parametrize(
+        "estimator, rates, n_calls",
+        [("algebraic_gh", (RATES,), 8), ("estimate_exp", (), 4)],
+        ids=["algebraic_gh", "estimate_exp"],
+    )
+    def test_sampled_mgf(self, monkeypatch, estimator, rates, n_calls):
+        calls = self._record(monkeypatch, [(mgfest, "empirical_mgf")])
+        mixes = [GhMix(RATES, w) for w in WEIGHTS]
+        samples = sample_paths(EXPT1, mixes, 20_000, seed=0).samples
+        getattr(pipeline, estimator)(EXPT1, *rates, samples=samples)
+        assert calls == {"empirical_mgf": n_calls}
+
     def test_algebraic_gh(self, monkeypatch):
         calls = self._record(monkeypatch, [
             (mgfest, "choose_tau"), (mgfest, "assemble_constants"),
@@ -607,3 +621,20 @@ class TestStagesCalledThroughTheirModules:
             "choose_tau": 2, "assemble_constants": 2, "build_t_tau": 2,
             "solve_system": 2, "run_matching": 1,
         }
+
+
+class TestOneInputSource:
+    """Samples and exact values given together raise, instead of one of them
+    being dropped."""
+
+    @pytest.mark.parametrize("estimator", ["estimate_gh", "algebraic_gh", "estimate_exp"])
+    def test_samples_and_exact_values_raise(self, estimator):
+        # samples that would fail every sample check, beside exact values
+        # that alone give an answer
+        if estimator == "estimate_exp":
+            args, exact = (EXPT1,), {"exact_means": [1.0, 2.0, 3.0]}
+        else:
+            args, exact = (EXPT1, RATES), {"exact_mixes": [GhMix(RATES, w) for w in WEIGHTS]}
+        (name,) = exact
+        with pytest.raises(ValueError, match=f"give exactly one of samples or {name}"):
+            getattr(pipeline, estimator)(*args, samples=[[np.nan]] * 2, **exact)
