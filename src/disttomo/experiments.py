@@ -123,11 +123,6 @@ def run_experiment(
     setup = get_setup(name)
     if exact and setup.dropped_stage is not None:
         raise ValueError(f"{name} has a dropped stage; exact mode would not exercise it")
-    eff_truth = (
-        setup.truth
-        if setup.dropped_stage is None
-        else np.delete(setup.truth, setup.dropped_stage, axis=1)
-    )
     samples = None if exact else sample_paths(
         setup.matrix, setup.mixes(), n_samples, seed=seed
     ).samples
@@ -137,7 +132,6 @@ def run_experiment(
         samples=samples,
         exact_mixes=setup.mixes() if exact else None,
         options=EstimateOptions(tau_seed=seed, solver_seed=seed),
-        ground_truth=eff_truth,
     )
     estimated = setup.expand(result.weights)
     error_norm = float(np.linalg.norm((estimated - setup.truth).ravel()))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -38,12 +38,19 @@ _EXP_RATES = (2.0, 1.0)
 
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Knobs of one estimation run."""
+    """Knobs of one estimation run.  ``tau``, ``tau_seed`` and ``delta`` go to
+    the algebraic chain (``estimate_exp`` reads ``tau`` and ``delta``) and
+    ``solver_seed`` to the likelihood fit.  A ``delta`` that is not finite
+    and > 0 raises ``ValueError``."""
 
     tau: dict[int, tuple[float, ...]] | None = None  # per-path probe points
     tau_seed: int = 0
     solver_seed: int = 0  # seeds the likelihood fit's random starts
     delta: float | None = None  # bound on cross-path disagreement; None -> unbounded
+
+    def __post_init__(self):
+        if self.delta is not None and not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -278,20 +285,57 @@ def _trust_newton(fun, x0, hess):
     )
 
 
+def _bin_tables(a: model.RoutingMatrix, lam: np.ndarray, samples, n_bins: int) -> dict:
+    """Each path's sorted links, bin counts and table, by link count N:
+    ``{N: [(links, counts, table), ...]}`` in path order.
+
+    ``_checked_paths`` checks and sorts the samples, and the bin edges are
+    their quantiles (``_quantile_edges``).  A table holds the bins'
+    probabilities under each of the (d+1)^N assignments of stages to the
+    links, in lexicographic order.  A row depends only on the multiset of
+    its rates, so each hypoexponential CDF is computed once per multiset and
+    the table, read with one axis per link, is symmetric under any
+    permutation of those axes.
+    """
+    d = lam.size - 1
+    by_length: dict[int, list] = {}
+    for i, y in enumerate(_checked_paths(a, samples, sort=True)):
+        links = sorted(a.path_links(i))
+        edges = np.unique(_quantile_edges(y, n_bins)[:-1])
+        edges[0] = 0.0
+        counts = np.diff(np.append(np.searchsorted(y, edges), y.size))
+        rows = {
+            stages: np.diff(np.append(model.hypoexp_cdf(lam[list(stages)], edges), 1.0))
+            for stages in combinations_with_replacement(range(d + 1), len(links))
+        }
+        table = np.array([
+            rows[tuple(sorted(assign))] for assign in product(range(d + 1), repeat=len(links))
+        ])
+        by_length.setdefault(len(links), []).append((links, counts, table))
+    return by_length
+
+
+def _kron(w: np.ndarray, positions) -> np.ndarray:
+    """For each list of link positions, the Kronecker product of those
+    links' weight vectors: (..., K, (d+1)^m) from ``w`` (..., N, d+1) and K
+    lists of m positions each.  With m = 0 each product is [1]."""
+    factors = w[..., np.array(positions, dtype=np.intp), :]  # (..., K, m, d+1)
+    kron = np.ones(factors.shape[:-2] + (1,))
+    for j in range(factors.shape[-2]):
+        kron = (kron[..., None] * factors[..., j, None, :]).reshape(factors.shape[:-2] + (-1,))
+    return kron
+
+
 def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> np.ndarray:
     """Binned maximum-likelihood fit of the (N, d) free-weight matrix.
 
     Each path's delay is a mixture over stage assignments of hypoexponential
     distributions, so the probability of every one of its 1000 quantile
-    bins is a multilinear form in the link weight vectors; the bin-count log
-    likelihood is then maximized jointly over all links and the
-    best-likelihood fit is returned.  This squeezes the full per-sample
-    information out of the data, unlike the handful of MGF evaluations the
-    polynomial stage consumes.  The bin edges are the samples' quantiles,
-    read off each path's sorted samples by ``_quantile_edges``; the samples
-    are checked and sorted by ``_checked_paths``.  A bin's probability under
-    a stage assignment depends only on the multiset of its rates, so each
-    path's hypoexponential CDF is computed once per multiset.
+    bins (``_bin_tables``) is a multilinear form in the link weight vectors;
+    the bin-count log likelihood is then maximized jointly over all links
+    and the best-likelihood fit is returned.  This squeezes the full
+    per-sample information out of the data, unlike the handful of MGF
+    evaluations the polynomial stage consumes.
 
     The fit runs from seven starts, the uniform weights and the first six
     Dirichlet draws seeded by ``seed``, and keeps the best.  Restarts
@@ -313,22 +357,18 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     The objective is evaluated in stacked form, so its numpy call count does
     not grow with the number of paths or starts; the starts stay a batch
     axis of every product, so each start's values are computed exactly as
-    they would be alone.  Paths are grouped by link
-    count N, and each group's hypoexponential tables are stacked once into a
-    (P, (d+1)^N, bins) array, shorter paths padded with zero-count bins.
-    Each position's derivative dp/dw_k of a path's bin probabilities is the
-    Kronecker product of the other positions' weight vectors times its
-    table, with k's axis moved next to the bins: one batched ``matmul``
-    gives all of them, for every start.  The probabilities are position 0's
-    derivative times its weights, and the gradient is the derivatives times
-    the count/probability ratio, carried to the free weights by one matmul
-    with the group's constant Jacobian (+1 on a free weight, -1 on the last
-    stage's, which is one minus the others).  The Hessian reuses those
-    arrays: the derivatives weighted by count/p^2 give its Gauss-Newton
-    part in one ``matmul``, and since p is multilinear the only second
-    derivatives pair two positions, the tables times the ratio contracted
-    against the remaining positions' weights; the Jacobian carries it to
-    the free weights on both sides.
+    they would be alone.  Paths are grouped by link count N, their tables
+    stacked and padded with zero-count bins.  Every contraction is a
+    ``_kron`` of weight vectors times a table.  A table is symmetric in its
+    link axes, so the ``_kron`` of all positions but k times the table, read
+    as ((d+1)^(N-1), (d+1) bins), is dp/dw_k, for all k in one ``matmul``.
+    p is position 0's derivative times its weights, and the gradient the
+    derivatives times the count/probability ratio.  The Hessian's
+    Gauss-Newton part is the derivatives weighted by count/p^2; since p is
+    multilinear its other terms pair two positions, the remaining ones'
+    ``_kron`` times the tables times the ratio.  All of this is taken in all
+    links' full weights; one constant lift carries it to the free weights
+    (+1 on a free weight, -1 on the last stage's, one minus the others).
 
     Bin probabilities are floored at 1e-12 (with the derivatives masked there)
     so a handful of tail outliers the rate model cannot explain contribute
@@ -342,95 +382,56 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     lam = np.asarray(lambdas, dtype=float)
     d = lam.size - 1
     n = a.n_links
+    k_full = n * (d + 1)
     u_grid = np.geomspace(1e-3 / lam.max(), 20.0 / lam.min(), 60)
     dens_basis = lam[:, None] * np.exp(-np.outer(lam, u_grid))  # (d+1, grid)
     penalty_coeff = 1e8
     floor = 1e-12
-    # a link's full weights as a function of its free ones: d(w)/d(w_free)
-    lift = np.vstack([np.eye(d), -np.ones((1, d))])  # (d+1, d)
-    by_length: dict[int, list] = {}
-    for i, y in enumerate(_checked_paths(a, samples, sort=True)):
-        links = sorted(a.path_links(i))
-        edges = np.unique(_quantile_edges(y, n_bins)[:-1])
-        edges[0] = 0.0
-        counts = np.diff(np.append(np.searchsorted(y, edges), y.size))
-        rows = {
-            stages: np.diff(np.append(model.hypoexp_cdf(lam[list(stages)], edges), 1.0))
-            for stages in combinations_with_replacement(range(d + 1), len(links))
-        }
-        table = np.array([
-            rows[tuple(sorted(assign))] for assign in product(range(d + 1), repeat=len(links))
-        ])
-        by_length.setdefault(len(links), []).append((links, counts, table))
-    del y  # the sort buffer need not live through the fit
+    # all links' full weights as a function of the free ones: d(w)/d(w_free)
+    lift = np.kron(np.eye(n), np.vstack([np.eye(d), -np.ones((1, d))]))  # (n(d+1), nd)
 
     # Stack the paths of each link count N; zero-count padding bins add
     # nothing to the likelihood or its derivatives.
     groups = []
-    for n_i, members in by_length.items():
-        n_p = len(members)
+    for members in _bin_tables(a, lam, samples, n_bins).values():
         width = max(c.size for _, c, _ in members)
-        counts = np.zeros((n_p, width))
-        tables = np.zeros((n_p, (d + 1) ** n_i, width))
-        for p, (_, c, t) in enumerate(members):
-            counts[p, :c.size] = c
-            tables[p, :, :c.size] = t
-        cube = tables.reshape((n_p,) + (d + 1,) * n_i + (width,))
-        # per position k, the table with k's axis moved next to the bins, so
-        # the other positions' Kronecker product times it is dp/dw_k
-        moved = np.stack([
-            np.moveaxis(cube, 1 + k, n_i).reshape(n_p, -1, (d + 1) * width)
-            for k in range(n_i)
-        ], axis=1)  # (P, N, (d+1)^(N-1), (d+1) bins)
-        others = np.array([[q for q in range(n_i) if q != k] for k in range(n_i)], dtype=np.intp)
-        axes = "abcdefghijklmnopqrstuvwxyz"[:n_i]
-        pair_subscripts = [
-            ((k, m), ",".join(["..." + axes] + ["..." + axes[q] for q in range(n_i)
-                                                if q not in (k, m)])
-             + "->..." + axes[k] + axes[m])
-            for k in range(n_i) for m in range(k + 1, n_i)
-        ]
+        counts = np.array([np.pad(c, (0, width - c.size)) for _, c, _ in members], dtype=float)
+        tables = np.array([np.pad(t, ((0, 0), (0, width - t.shape[1]))) for _, _, t in members])
         link_idx = np.array([links for links, _, _ in members])
-        # d(each path's full weights)/d(all links' free weights), one row per
-        # (path, position, stage)
-        jac = np.zeros((n_p, n_i, d + 1, n, d))
-        jac[np.arange(n_p)[:, None], np.arange(n_i), :, link_idx] = lift
-        jac = jac.reshape(n_p, n_i * (d + 1), n * d)
-        groups.append((link_idx, counts, tables, moved, others, pair_subscripts, jac))
+        # rows of the identity, selecting each (path, position, stage)'s weight
+        jac = np.eye(k_full).reshape(n, d + 1, k_full)[link_idx].reshape(len(members), -1, k_full)
+        groups.append((link_idx, counts, tables, jac))
 
     # what the latest nll_and_grad call computed, for nll_hess at its points
     latest: dict = {}
 
     def nll_and_grad(x):
         n_s = x.shape[0]
-        w_full = np.empty((n_s, n, d + 1))
-        w_full[:, :, :d] = x.reshape(n_s, n, d)
-        w_full[:, :, d] = 1.0 - w_full[:, :, :d].sum(axis=2)
+        free = x.reshape(n_s, n, d)
+        w_full = np.concatenate([free, 1.0 - free.sum(axis=2, keepdims=True)], axis=2)
         total = np.zeros(n_s)
-        grad = np.zeros((n_s, n * d))
+        grad = np.zeros((n_s, 1, k_full))
         shared = []
-        for link_idx, counts, _, moved, others, _, jac in groups:
+        for link_idx, counts, tables, jac in groups:
             n_p, n_i = link_idx.shape
             w = w_full[:, link_idx]  # (S, P, N, d+1)
-            rest = w[:, :, others]  # (S, P, N, N-1, d+1)
-            kron = np.ones((n_s, n_p, n_i, 1))
-            for j in range(n_i - 1):
-                kron = (kron[..., None] * rest[:, :, :, j, None, :]).reshape(n_s, n_p, n_i, -1)
-            dprobs = np.matmul(kron[..., None, :], moved).reshape(n_s, n_p, n_i * (d + 1), -1)
+            kron = _kron(w, [[q for q in range(n_i) if q != k] for k in range(n_i)])[..., None, :]
+            by_last = tables.reshape(n_p, 1, kron.shape[-1], -1)  # (P, 1, (d+1)^(N-1), (d+1) bins)
+            dprobs = np.matmul(kron, by_last).reshape(n_s, n_p, n_i * (d + 1), -1)
             probs = np.matmul(w[:, :, 0, None, :], dprobs[:, :, :d + 1])[:, :, 0]  # (S, P, bins)
             clamped = np.maximum(probs, floor)
             log_p = np.log(clamped).reshape(n_s, 1, -1)
             total -= np.matmul(log_p, counts.reshape(-1, 1))[:, 0, 0]
             ratio = np.where(probs > floor, counts / clamped, 0.0)
             dnll = np.matmul(dprobs, ratio[..., None]).reshape(n_s, 1, -1)
-            grad -= np.matmul(dnll, jac.reshape(-1, n * d))[:, 0]
+            grad -= np.matmul(dnll, jac.reshape(-1, k_full))
             shared.append((w, clamped, ratio, dprobs))
         dens = w_full @ dens_basis  # (S, N, grid)
         neg = np.minimum(dens, 0.0)
         total += penalty_coeff * (neg * neg).sum(axis=(1, 2))
-        grad += (2.0 * penalty_coeff * (neg @ dens_basis.T) @ lift).reshape(n_s, -1)
+        grad += 2.0 * penalty_coeff * (neg @ dens_basis.T).reshape(n_s, 1, -1)
         latest.update(x=x.copy(), shared=shared, dens=dens)
-        return total, grad
+        return total, np.matmul(grad, lift)[:, 0]
 
     def nll_hess(x):
         n_s = x.shape[0]
@@ -442,33 +443,31 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
         rows = found.argmax(axis=1)
         if np.array_equal(rows, np.arange(latest["x"].shape[0])):
             rows = slice(None)  # every row of the latest batch: no copies
-        hess = np.zeros((n_s, n * d, n * d))
-        for group, arrays in zip(groups, latest["shared"]):
-            link_idx, _, tables, _, _, pair_subs, jac = group
+        hess = np.zeros((n_s, k_full, k_full))
+        for (link_idx, _, tables, jac), arrays in zip(groups, latest["shared"]):
             w, clamped, ratio, dprobs = (arr[rows] for arr in arrays)
             n_p, n_i = link_idx.shape
             # Gauss-Newton part: sum over bins of counts/p^2 dp dp^T
             block = np.matmul(dprobs * (ratio / clamped)[:, :, None, :], dprobs.swapaxes(2, 3))
             # p is multilinear, so the only second derivatives pair two
-            # positions: the tables times the ratio, contracted against the
-            # remaining positions' weights
-            if pair_subs:
-                r = np.matmul(tables, ratio[..., None]).reshape((n_s, n_p) + (d + 1,) * n_i)
-            for (k, m), sub in pair_subs:
-                cross = np.einsum(sub, r, *(w[:, :, q] for q in range(n_i) if q not in (k, m)))
-                rows_k = slice(k * (d + 1), (k + 1) * (d + 1))
-                cols_m = slice(m * (d + 1), (m + 1) * (d + 1))
-                block[:, :, rows_k, cols_m] -= cross
-                block[:, :, cols_m, rows_k] -= cross.swapaxes(2, 3)
-            hess += jac.reshape(-1, n * d).T @ np.matmul(block, jac).reshape(n_s, -1, n * d)
+            # positions k < m: the remaining ones' ``_kron`` times the tables
+            # times the ratio, read with k and m last as the tables are symmetric
+            pairs = list(combinations(range(n_i), 2))
+            if pairs:
+                rest = [[q for q in range(n_i) if q not in pair] for pair in pairs]
+                r = np.matmul(tables, ratio[..., None]).reshape(n_s, n_p, 1, -1, (d + 1) ** 2)
+                cross = (_kron(w, rest)[..., None, :] @ r).reshape(n_s, n_p, -1, d + 1, d + 1)
+                by_pos = block.reshape(n_s, n_p, n_i, d + 1, n_i, d + 1)
+                for j, (k, m) in enumerate(pairs):
+                    by_pos[:, :, k, :, m] -= cross[:, :, j]
+                    by_pos[:, :, m, :, k] -= cross[:, :, j].swapaxes(2, 3)
+            hess += jac.reshape(-1, k_full).T @ np.matmul(block, jac).reshape(n_s, -1, k_full)
         neg = latest["dens"][rows] < 0.0  # (S, N, grid)
         if neg.any():
             curv = 2.0 * penalty_coeff * ((dens_basis * neg[:, :, None, :]) @ dens_basis.T)
             links = np.arange(n)
-            hess.reshape(n_s, n, d, n, d)[:, links, :, links, :] += (
-                lift.T @ curv @ lift
-            ).swapaxes(0, 1)
-        return hess
+            hess.reshape(n_s, n, d + 1, n, d + 1)[:, links, :, links, :] += curv.swapaxes(0, 1)
+        return lift.T @ hess @ lift
 
     rng = np.random.default_rng(seed)
     starts = np.array([np.full((n, d), 1.0 / (d + 1))] + [

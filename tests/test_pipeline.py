@@ -1,6 +1,7 @@
 import re
 import zlib
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ class TestLikelihoodObjective:
             total_grad[links] += g.reshape(len(links), 2)
         assert value == pytest.approx(total, rel=1e-12)
         np.testing.assert_allclose(grad, total_grad.ravel(), rtol=1e-9)
+
+
+class TestBinTables:
+    def test_tables_are_symmetric_in_their_links(self):
+        # the fit reads every position's derivative off one view of a path's
+        # table, which holds only if permuting the link axes leaves it unchanged
+        a = TestLikelihoodObjective.MIXED
+        samples = TestLikelihoodObjective()._samples()
+        by_length = pipeline._bin_tables(a, np.array(RATES), samples, 1000)
+        paths = [path for members in by_length.values() for path in members]
+        assert sorted(len(links) for links, _, _ in paths) == [2, 2, 2, 3]
+        for links, _, table in paths:
+            n_i = len(links)
+            cube = table.reshape((len(RATES),) * n_i + (-1,))
+            for perm in permutations(range(n_i)):
+                np.testing.assert_array_equal(cube.transpose(perm + (n_i,)), cube)
 
 
 class TestLikelihoodStartsAndEdges:
@@ -638,3 +655,10 @@ class TestOneInputSource:
         (name,) = exact
         with pytest.raises(ValueError, match=f"give exactly one of samples or {name}"):
             getattr(pipeline, estimator)(*args, samples=[[np.nan]] * 2, **exact)
+
+
+class TestDeltaOption:
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_delta_raises(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            pipeline.EstimateOptions(delta=delta)
