@@ -9,7 +9,7 @@ that seed and runs the shipped sampled estimate (``estimate_gh`` with
 fit's batch of starts, then continues the same start sequence (the uniform
 weights, then the Dirichlet draws of ``np.random.default_rng(seed)``) up to
 ``--starts`` starts, fitting the rest as one more batch with the fit's own
-objective, Hessian and optimizer; a start's fit does not depend on the other
+objective and optimizer; a start's fit does not depend on the other
 starts of its batch.  Per run it prints the smallest K whose best-of-K is
 within ``--tol`` nats of the best of all starts, the shipped fit's gap to
 that best, how far the shipped weights lie from the best start's, and each
@@ -42,9 +42,9 @@ def census_run(name: str, seed: int, n_samples: int, n_starts: int, tol: float) 
     shipped_trust_newton = pipeline._trust_newton
     calls = []
 
-    def record(fun, x0, hess):
-        fit = shipped_trust_newton(fun, x0, hess)
-        calls.append((fun, hess, np.array(x0), fit))
+    def record(fun, x0):
+        fit = shipped_trust_newton(fun, x0)
+        calls.append((fun, np.array(x0), fit))
         return fit
 
     pipeline._trust_newton = record
@@ -58,7 +58,7 @@ def census_run(name: str, seed: int, n_samples: int, n_starts: int, tol: float) 
 
     if len(calls) != 1:
         raise RuntimeError(f"the shipped fit made {len(calls)} optimizer calls, not one batch")
-    (fun, hess, shipped_starts, shipped), = calls
+    (fun, shipped_starts, shipped), = calls
     rng = np.random.default_rng(seed)
     starts = np.array([np.full(n * d, 1.0 / (d + 1))] + [
         rng.dirichlet(np.ones(d + 1), size=n)[:, :d].ravel() for _ in range(n_starts - 1)
@@ -68,7 +68,7 @@ def census_run(name: str, seed: int, n_samples: int, n_starts: int, tol: float) 
         raise RuntimeError("the shipped fit's starts are not the census's first starts")
     fits = [shipped]
     if n_starts > n_shipped:
-        fits.append(shipped_trust_newton(fun, starts[n_shipped:], hess))
+        fits.append(shipped_trust_newton(fun, starts[n_shipped:]))
     values = np.concatenate([fit.fun for fit in fits])
     xs = np.concatenate([fit.x for fit in fits])
     best = values.min()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -79,8 +80,9 @@ def _ground_truth_means(topo: dict) -> list[float]:
         raise ValidationError(
             f"'means' lists {len(means)} values for {a.n_links} links"
         )
-    if any(m <= 0 for m in means):
-        raise ValidationError("link means must be strictly positive")
+    for j, m in enumerate(means):
+        if not 0.0 < m < math.inf:
+            raise ValidationError(f"link {j} has mean {m}; need finite and > 0")
     return means
 
 

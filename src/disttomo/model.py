@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "check_rates",
     "GhMix",
     "RoutingMatrix",
     "IncidenceSets",
@@ -34,14 +35,28 @@ _DENSITY_FLOOR = -1e-9
 _DENSITY_GRID_POINTS = 1000
 
 
+def check_rates(rates, minimum: int = 1) -> tuple[float, ...]:
+    """``rates`` as a tuple of floats, or ``ValueError`` unless there are at
+    least ``minimum`` of them, each finite and strictly positive, and
+    pairwise distinct."""
+    rates = tuple(float(r) for r in rates)
+    if len(rates) < minimum:
+        raise ValueError(f"need at least {minimum} rates, got {rates}")
+    if not all(0.0 < r < math.inf for r in rates):
+        raise ValueError(f"rates must be finite and strictly positive, got {rates}")
+    if len(set(rates)) != len(rates):
+        raise ValueError(f"rates must be pairwise distinct, got {rates}")
+    return rates
+
+
 @dataclass(frozen=True)
 class GhMix:
     """A generalized hyperexponential distribution: d+1 rates and signed weights.
 
-    Rates must be strictly positive and pairwise distinct; weights must sum
-    to one and yield a nonnegative density.  Nonnegativity is checked on a
-    geometric grid plus a tail sign check (the smallest rate dominates as
-    u grows), since an exact check is transcendental.
+    Rates must pass ``check_rates``; weights must be finite, sum to one and
+    yield a nonnegative density.  Nonnegativity is checked on a geometric
+    grid plus a tail sign check (the smallest rate dominates as u grows),
+    since an exact check is transcendental.
     """
 
     rates: tuple[float, ...]
@@ -56,12 +71,9 @@ class GhMix:
             raise ValueError(
                 f"rates ({len(rates)}) and weights ({len(weights)}) differ in length"
             )
-        if len(rates) < 1:
-            raise ValueError("need at least one exponential stage")
-        if any(r <= 0 for r in rates):
-            raise ValueError(f"rates must be strictly positive, got {rates}")
-        if len(set(rates)) != len(rates):
-            raise ValueError(f"rates must be pairwise distinct, got {rates}")
+        check_rates(rates)
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError(f"weights must be finite, got {weights}")
         if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got sum {sum(weights)!r}"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement, product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def _check_identifiable(a: model.RoutingMatrix) -> None:
 
 def _checked_paths(a: model.RoutingMatrix, samples, *, sort: bool = False):
     """Yield each path's samples, rejecting any that are not finite and
-    nonnegative, and naming the first bad path.
+    nonnegative, or all zero, and naming the first bad path.
 
     The checks read each path's smallest and largest value: its ``min`` and
     ``max``, or with ``sort`` the ends of the sorted copy, where -inf sorts
@@ -99,11 +100,14 @@ def _checked_paths(a: model.RoutingMatrix, samples, *, sort: bool = False):
             raise ValueError(f"path {i} has non-finite values")
         if lo < 0:
             raise ValueError(f"path {i} has negative delays")
+        if hi == 0:
+            raise ValueError(f"path {i} has only zero delays")
         yield y
 
 
 def _check_samples(a: model.RoutingMatrix, samples) -> None:
-    """Reject samples that do not give every path finite, nonnegative delays."""
+    """Reject samples that do not give every path finite, nonnegative delays,
+    not all zero."""
     for _ in _checked_paths(a, samples):
         pass
 
@@ -185,31 +189,22 @@ def _trust_step(gq, lam, radius):
     return p, boundary
 
 
-class _Fit(dict):
-    """``_trust_newton``'s result: a dict whose keys also read as attributes."""
-
-    def __getattr__(self, name):
-        try:
-            return self[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
-def _trust_newton(fun, x0, hess):
+def _trust_newton(fun, x0):
     """Trust-region Newton minimisation from a batch of starts, with exact
     subproblem solves.
 
     ``x0`` holds one start per row.  ``fun`` maps an (S, k) batch of points
-    to their values (S,) and gradients (S, k), and ``hess`` to their
-    Hessians (S, k, k).  All starts advance together: each iteration takes
-    one batched ``eigh`` of the active starts' Hessians, solves their
-    trust-region subproblems (``_trust_step``), evaluates every trial point
-    in one ``fun`` call and the Hessians of the accepted ones in one
-    ``hess`` call.  A start stops on its own and is masked out of later
-    calls.  The optimizer's arithmetic on a row does not depend on the other
-    rows, so when ``fun`` and ``hess`` evaluate each row as they would alone,
-    as the likelihood fit's objective does, a start's result is the one it
-    gets alone.
+    to their values (S,), gradients (S, k) and Hessians (S, k, k).  All
+    starts advance together: each iteration takes one batched ``eigh`` of
+    the active starts' Hessians, solves their trust-region subproblems
+    (``_trust_step``) and evaluates every trial point in one ``fun`` call.
+    A trial point's value, gradient and Hessian replace the start's only
+    where its step is taken, so a Hessian evaluated at a rejected point,
+    which may not be finite, is never used.  A start stops on its own and
+    is masked out of later calls.  The optimizer's arithmetic on a row does
+    not depend on the other rows, so when ``fun`` evaluates each row as it
+    would alone, as the likelihood fit's objective does, a start's result
+    is the one it gets alone.
 
     Per start, each iteration takes the exact minimiser of the local
     quadratic model within the trust radius.  The radius follows scipy's
@@ -225,18 +220,16 @@ def _trust_newton(fun, x0, hess):
     and shrink the radius until the step limit.  A start also stops,
     unsuccessfully, when the model predicts no decrease or after 200 steps.
 
-    Returns a dict whose keys also read as attributes.  Each holds one
-    entry per start: ``x``, ``fun``, ``jac``, ``success``, ``message``, and
-    the counts ``nit`` (steps tried), ``nfev`` (points ``fun`` was evaluated
-    at) and ``nhev`` (Hessians).
+    Returns a ``SimpleNamespace`` whose fields hold one entry per start:
+    ``x``, ``fun``, ``jac``, ``success``, ``message``, and the counts
+    ``nit`` (steps tried) and ``nfev`` (points ``fun`` was evaluated at).
     """
     x = np.array(x0, dtype=float)
     n_s = x.shape[0]
-    f, g = (np.array(v, dtype=float) for v in fun(x))
-    h = np.array(hess(x), dtype=float)
+    f, g, h = (np.array(v, dtype=float) for v in fun(x))
     radius = np.ones(n_s)
     nit = np.zeros(n_s, dtype=int)
-    nfev, nhev = np.ones(n_s, dtype=int), np.ones(n_s, dtype=int)
+    nfev = np.ones(n_s, dtype=int)
     success = np.zeros(n_s, dtype=bool)
     message = ["iteration limit reached"] * n_s
     active = np.arange(n_s)
@@ -259,7 +252,7 @@ def _trust_newton(fun, x0, hess):
         nit[rows] += 1
         nfev[rows] += 1
         x_try = x[rows] + np.matmul(vec[tried], p[tried, :, None])[:, :, 0]
-        f_try, g_try = fun(x_try)
+        f_try, g_try, h_try = fun(x_try)
         finite = np.isfinite(f_try)
         rho = np.full(rows.size, -np.inf)
         scored = finite & ~ended
@@ -271,17 +264,14 @@ def _trust_newton(fun, x0, hess):
         # take it unless it left the domain.
         take = np.where(ended, finite, rho > 0.15)
         x[rows[take]], f[rows[take]], g[rows[take]] = x_try[take], f_try[take], g_try[take]
-        taken = take & ~ended
-        if taken.any():
-            h[rows[taken]] = hess(x_try[taken])
-            nhev[rows[taken]] += 1
+        h[rows[take]] = h_try[take]
         success[rows[ended]] = True
         for i, floor_stop in zip(rows[ended], at_floor[tried][ended]):
             message[i] = ("predicted decrease under 4 ulps of the value" if floor_stop
                           else "Newton decrement below 1e-8")
         active = rows[~ended & (nit[rows] < 200)]
-    return _Fit(
-        x=x, fun=f, jac=g, nit=nit, nfev=nfev, nhev=nhev, success=success, message=message
+    return SimpleNamespace(
+        x=x, fun=f, jac=g, nit=nit, nfev=nfev, success=success, message=message
     )
 
 
@@ -351,8 +341,10 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     fits (``_trust_newton``) on the exact Hessian: with n*d free weights, at
     most a dozen on the bundled topologies, the Hessian costs about one
     more batched matmul than the gradient, and a start converges in 10-20
-    steps.  Each iteration makes one objective call for all active starts
-    and one Hessian call for those whose step was taken.
+    steps.  Each iteration makes one objective call at the active starts'
+    trial points, which returns their values, gradients and Hessians from
+    the same products; the optimizer keeps a trial point's Hessian only
+    where its step is taken.
 
     The objective is evaluated in stacked form, so its numpy call count does
     not grow with the number of paths or starts; the starts stay a batch
@@ -402,16 +394,13 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
         jac = np.eye(k_full).reshape(n, d + 1, k_full)[link_idx].reshape(len(members), -1, k_full)
         groups.append((link_idx, counts, tables, jac))
 
-    # what the latest nll_and_grad call computed, for nll_hess at its points
-    latest: dict = {}
-
-    def nll_and_grad(x):
+    def objective(x):
         n_s = x.shape[0]
         free = x.reshape(n_s, n, d)
         w_full = np.concatenate([free, 1.0 - free.sum(axis=2, keepdims=True)], axis=2)
         total = np.zeros(n_s)
         grad = np.zeros((n_s, 1, k_full))
-        shared = []
+        hess = np.zeros((n_s, k_full, k_full))
         for link_idx, counts, tables, jac in groups:
             n_p, n_i = link_idx.shape
             w = w_full[:, link_idx]  # (S, P, N, d+1)
@@ -425,28 +414,6 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
             ratio = np.where(probs > floor, counts / clamped, 0.0)
             dnll = np.matmul(dprobs, ratio[..., None]).reshape(n_s, 1, -1)
             grad -= np.matmul(dnll, jac.reshape(-1, k_full))
-            shared.append((w, clamped, ratio, dprobs))
-        dens = w_full @ dens_basis  # (S, N, grid)
-        neg = np.minimum(dens, 0.0)
-        total += penalty_coeff * (neg * neg).sum(axis=(1, 2))
-        grad += 2.0 * penalty_coeff * (neg @ dens_basis.T).reshape(n_s, 1, -1)
-        latest.update(x=x.copy(), shared=shared, dens=dens)
-        return total, np.matmul(grad, lift)[:, 0]
-
-    def nll_hess(x):
-        n_s = x.shape[0]
-        cached = latest.get("x")
-        found = (x[:, None, :] == cached[None]).all(axis=2) if cached is not None else None
-        if found is None or not found.any(axis=1).all():
-            nll_and_grad(x)
-            found = np.eye(n_s, dtype=bool)
-        rows = found.argmax(axis=1)
-        if np.array_equal(rows, np.arange(latest["x"].shape[0])):
-            rows = slice(None)  # every row of the latest batch: no copies
-        hess = np.zeros((n_s, k_full, k_full))
-        for (link_idx, _, tables, jac), arrays in zip(groups, latest["shared"]):
-            w, clamped, ratio, dprobs = (arr[rows] for arr in arrays)
-            n_p, n_i = link_idx.shape
             # Gauss-Newton part: sum over bins of counts/p^2 dp dp^T
             block = np.matmul(dprobs * (ratio / clamped)[:, :, None, :], dprobs.swapaxes(2, 3))
             # p is multilinear, so the only second derivatives pair two
@@ -462,18 +429,22 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
                     by_pos[:, :, k, :, m] -= cross[:, :, j]
                     by_pos[:, :, m, :, k] -= cross[:, :, j].swapaxes(2, 3)
             hess += jac.reshape(-1, k_full).T @ np.matmul(block, jac).reshape(n_s, -1, k_full)
-        neg = latest["dens"][rows] < 0.0  # (S, N, grid)
-        if neg.any():
-            curv = 2.0 * penalty_coeff * ((dens_basis * neg[:, :, None, :]) @ dens_basis.T)
+        dens = w_full @ dens_basis  # (S, N, grid)
+        neg = np.minimum(dens, 0.0)
+        total += penalty_coeff * (neg * neg).sum(axis=(1, 2))
+        grad += 2.0 * penalty_coeff * (neg @ dens_basis.T).reshape(n_s, 1, -1)
+        below = dens < 0.0
+        if below.any():
+            curv = 2.0 * penalty_coeff * ((dens_basis * below[:, :, None, :]) @ dens_basis.T)
             links = np.arange(n)
             hess.reshape(n_s, n, d + 1, n, d + 1)[:, links, :, links, :] += curv.swapaxes(0, 1)
-        return lift.T @ hess @ lift
+        return total, np.matmul(grad, lift)[:, 0], lift.T @ hess @ lift
 
     rng = np.random.default_rng(seed)
     starts = np.array([np.full((n, d), 1.0 / (d + 1))] + [
         rng.dirichlet(np.ones(d + 1), size=n)[:, :d] for _ in range(n_starts)
     ]).reshape(n_starts + 1, n * d)
-    fits = _trust_newton(nll_and_grad, starts, nll_hess)
+    fits = _trust_newton(objective, starts)
     values = np.where(np.isnan(fits.fun), np.inf, fits.fun)
     if not (values < np.inf).any():
         raise RuntimeError("likelihood polish failed from every starting point")
@@ -564,11 +535,13 @@ def algebraic_gh(
     when matching fails.  Each of ``exact_mixes`` must be a mixture over
     ``lambdas``, or ``ValueError`` names its link.  With ``exact_mixes``, a
     row that is not a valid mixture raises ``RuntimeError``: noise-free data
-    admits no such answer.
+    admits no such answer.  Fewer than two rates, or rates that are not
+    finite, > 0 and pairwise distinct (``model.check_rates``), raise
+    ``ValueError`` before any work.
     """
+    rates = model.check_rates(lambdas, 2)
     opts = options or EstimateOptions()
     d = len(lambdas) - 1
-    rates = tuple(float(r) for r in lambdas)
     for j, mix in enumerate(exact_mixes or ()):
         if mix.rates != rates:
             raise ValueError(f"exact_mixes: link {j} has rates {mix.rates}, not lambdas {rates}")
@@ -612,8 +585,10 @@ def estimate_gh(
     which takes no ``tau`` or ``delta``, reports no per-path diagnostics and
     a ``delta`` of None.  ``ground_truth``, when given, must have the
     estimate's shape, and ``error_norm`` is their distance.  Returns
-    (MatchResult, diagnostics).
+    (MatchResult, diagnostics).  Its rates are checked as ``algebraic_gh``'s
+    are, before any work.
     """
+    model.check_rates(lambdas, 2)
     if exact_mixes is not None:
         return algebraic_gh(
             a, lambdas, samples=samples, exact_mixes=exact_mixes, options=options,

@@ -126,6 +126,23 @@ class TestSimulate:
     def test_rejects_nonpositive_length(self, topo_path, capsys):
         assert cli.main(["simulate", "--topology", topo_path, "--L", "0"]) == 2
 
+    @pytest.mark.parametrize("model, field, value, message", [
+        ("gh", "links", [[0.17, float("nan"), 0.03], [0.13, 0.47, 0.40], [0.80, 0.15, 0.05]],
+         "weights must be finite"),
+        ("gh", "rates", [5.0, float("nan"), 1.0], "rates must be finite"),
+        ("exp", "means", [1.0, float("nan"), 3.0], "link 1 has mean nan"),
+        ("exp", "means", [1.0, float("inf"), 3.0], "link 1 has mean inf"),
+    ], ids=["nan_weight", "nan_rate", "nan_mean", "inf_mean"])
+    def test_non_finite_truth_exits_2(self, tmp_path, capsys, model, field, value, message):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({**EXPT1_TOPOLOGY, "means": [1.0, 2.0, 3.0], field: value}))
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--topology", str(topo), "--model", model, "--L", "10",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_exact_mgf_recovers_truth(self, topo_path, tmp_path):
@@ -198,6 +215,24 @@ class TestEstimate:
         argv = ["estimate", "--topology", topo_path, "--samples", str(samples)]
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["gh", "exp"])
+    def test_all_zero_path_exits_2(self, topo_path, tmp_path, capsys, model):
+        samples = tmp_path / "zeros.csv"
+        samples.write_text("path_id,sample_index,value\n0,0,1.5\n0,1,0.7\n1,0,0\n1,1,0\n")
+        argv = ["estimate", "--topology", topo_path, "--model", model,
+                "--samples", str(samples)]
+        assert cli.main(argv) == 2
+        assert "path 1 has only zero delays" in capsys.readouterr().err
+
+    def test_repeated_rates_exit_2(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"matrix": EXPT1_TOPOLOGY["matrix"], "rates": [5, 5, 1]}))
+        samples = tmp_path / "s.csv"
+        samples.write_text("path_id,sample_index,value\n0,0,1.5\n1,0,0.7\n")
+        argv = ["estimate", "--topology", str(topo), "--samples", str(samples)]
+        assert cli.main(argv) == 2
+        assert "rates must be pairwise distinct" in capsys.readouterr().err
 
     def test_empty_body_exits_2_without_warning(self, topo_path, tmp_path, capsys):
         samples = tmp_path / "empty.csv"

@@ -35,8 +35,9 @@ def random_proper_mix(rng, d_plus_1=3):
 
 class TestGhMixValidation:
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            GhMix((1.0, -2.0), (0.5, 0.5))
+        for rates in [(1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="strictly positive"):
+                GhMix(rates, (0.5, 0.5))
 
     def test_rejects_duplicate_rates(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -45,6 +46,10 @@ class TestGhMixValidation:
     def test_rejects_bad_weight_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
             GhMix((2.0, 1.0), (0.5, 0.6))
+        # a NaN sum compares false with any tolerance
+        for weights in [(math.nan, math.nan), (math.nan, 1.0), (math.inf, -math.inf)]:
+            with pytest.raises(ValueError, match="weights must be finite"):
+                GhMix((2.0, 1.0), weights)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="differ in length"):

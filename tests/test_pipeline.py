@@ -44,18 +44,19 @@ class _Captured(Exception):
 
 
 def _objective(monkeypatch, a, rates, samples):
-    """The likelihood fit's batched objective and Hessian, taken from its
-    ``_trust_newton`` call."""
+    """The likelihood fit's batched objective, taken from its ``_trust_newton``
+    call, as two callables: values and gradients, and Hessians."""
     captured = []
 
-    def capture(fun, x0, hess):
-        captured.append((fun, hess))
+    def capture(fun, x0):
+        captured.append(fun)
         raise _Captured
 
     monkeypatch.setattr(pipeline, "_trust_newton", capture)
     with pytest.raises(_Captured):
         pipeline._likelihood_polish(a, rates, samples, seed=0)
-    return captured[0]
+    fun = captured[0]
+    return (lambda x: fun(x)[:2], lambda x: fun(x)[2])
 
 
 class TestLikelihoodObjective:
@@ -157,9 +158,9 @@ class TestLikelihoodStartsAndEdges:
         real_trust_newton = pipeline._trust_newton
         batches = []
 
-        def record(fun, x0, hess):
+        def record(fun, x0):
             batches.append(np.array(x0))
-            return real_trust_newton(fun, x0, hess)
+            return real_trust_newton(fun, x0)
 
         monkeypatch.setattr(pipeline, "_trust_newton", record)
         seed, n, d = 7, EXPT1.n_links, len(RATES) - 1
@@ -185,23 +186,18 @@ class TestTrustNewton:
 
     @staticmethod
     def _run(fun, hess, x0s):
-        """Minimise from every start of ``x0s`` in one batch, recording each
-        point ``fun`` and ``hess`` are called at."""
-        points, hessians = [], []
+        """Minimise from every start of ``x0s`` in one batch, with an
+        objective that calls ``fun`` and ``hess`` on each row, recording
+        each point it is called at."""
+        points = []
 
-        def value_and_grad(x):
+        def objective(x):
             points.extend(np.array(x))
             values, grads = zip(*(fun(row) for row in x))
-            return np.array(values), np.array(grads)
+            return np.array(values), np.array(grads), np.array([hess(row) for row in x])
 
-        def hessian(x):
-            hessians.extend(np.array(x))
-            return np.array([hess(row) for row in x])
-
-        fit = pipeline._trust_newton(
-            value_and_grad, np.asarray(x0s, dtype=float), hessian
-        )
-        return fit, points, hessians
+        fit = pipeline._trust_newton(objective, np.asarray(x0s, dtype=float))
+        return fit, points
 
     def test_convex_quadratic_in_one_step(self):
         a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
@@ -210,7 +206,7 @@ class TestTrustNewton:
         def fun(x):
             return 0.5 * (x - c) @ a @ (x - c), a @ (x - c)
 
-        fit, points, _ = self._run(fun, lambda x: a, [np.zeros(3)])
+        fit, points = self._run(fun, lambda x: a, [np.zeros(3)])
         assert fit.success[0]
         # the first step lands on the minimum; the second, closing Newton
         # step is empty
@@ -234,7 +230,7 @@ class TestTrustNewton:
 
     @pytest.mark.parametrize("x0", SADDLE_STARTS)
     def test_leaves_saddles_and_negative_curvature(self, x0):
-        fit, _, _ = self._run(self._saddle, self._saddle_hess, [x0])
+        fit, _ = self._run(self._saddle, self._saddle_hess, [x0])
         assert fit.success[0]
         assert np.linalg.eigvalsh(self._saddle_hess(fit.x[0])).min() > 0
         assert np.linalg.norm(self._saddle(fit.x[0])[1]) < 1e-8
@@ -242,9 +238,10 @@ class TestTrustNewton:
 
     # sqrt(1 + (x - 1)^2) + y^2 / 2, undefined beyond |(x, y)| = 1.05: the
     # curvature is low at (0.1, 0), so the first step from there, of the
-    # initial radius 1, leaves the domain
+    # initial radius 1, leaves the domain.  With ``nan_hessian`` the Hessian
+    # is NaN there too, and any use of a rejected point's Hessian shows.
     @staticmethod
-    def _fenced(bad):
+    def _fenced(bad, nan_hessian=False):
         def fun(x):
             if np.linalg.norm(x) > 1.05:
                 return bad, np.full(2, bad)
@@ -253,14 +250,20 @@ class TestTrustNewton:
             return root + x[1] ** 2 / 2, np.array([u / root, x[1]])
 
         def hess(x):
+            if nan_hessian and np.linalg.norm(x) > 1.05:
+                return np.full((2, 2), np.nan)
             return np.diag([(1.0 + (x[0] - 1.0) ** 2) ** -1.5, 1.0])
 
         return fun, hess
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_rejects_non_finite_trial_values(self, bad):
-        fun, hess = self._fenced(bad)
-        fit, points, _ = self._run(fun, hess, [(0.1, 0.0)])
+    @pytest.mark.parametrize("bad, nan_hessian", [
+        pytest.param(np.inf, False, id="inf"),
+        pytest.param(np.nan, False, id="nan"),
+        pytest.param(np.inf, True, id="inf-nan_hessian"),
+    ])
+    def test_rejects_non_finite_trial_values(self, bad, nan_hessian):
+        fun, hess = self._fenced(bad, nan_hessian)
+        fit, points = self._run(fun, hess, [(0.1, 0.0)])
         values = np.array([fun(x)[0] for x in points])
         assert not np.isfinite(values[1])
         assert fit.success[0] and np.isfinite(fit.fun[0])
@@ -269,13 +272,12 @@ class TestTrustNewton:
     def test_counts_what_was_done(self):
         from scipy.optimize import rosen, rosen_der, rosen_hess
 
-        fit, points, hessians = self._run(
+        fit, points = self._run(
             lambda x: (rosen(x), rosen_der(x)), rosen_hess, [(-1.2, 1.0)]
         )
         assert fit.success[0]
         np.testing.assert_allclose(fit.x[0], np.ones(2), atol=1e-6)
         assert fit.nfev[0] == len(points)
-        assert fit.nhev[0] == len(hessians)
         assert fit.nit[0] == len(points) - 1  # each step evaluates one point
         assert fit.fun[0] == rosen(fit.x[0])
 
@@ -283,7 +285,7 @@ class TestTrustNewton:
         # no gradient and no curvature: the model predicts no decrease, so
         # every start stops before evaluating a trial point
         x0s = [(0.3, -1.0), (2.0, 0.5)]
-        fit, points, _ = self._run(lambda x: (1.0, np.zeros(2)), lambda x: np.zeros((2, 2)), x0s)
+        fit, points = self._run(lambda x: (1.0, np.zeros(2)), lambda x: np.zeros((2, 2)), x0s)
         np.testing.assert_array_equal(fit.x, x0s)
         assert not fit.success.any()
         assert list(fit.nit) == [0, 0] and list(fit.nfev) == [1, 1] and len(points) == 2
@@ -314,20 +316,20 @@ class TestTrustNewton:
             return offset + 0.5 * (curv * u) @ u + noise, curv * u + beta * np.sign(u)
 
         x0s = [(0.0, 0.0), (1.0, 1.0), (-2.0, 0.5), (0.3001, -0.2001)]
-        fit, _, _ = self._run(fun, lambda x: np.diag(curv), x0s)
+        fit, _ = self._run(fun, lambda x: np.diag(curv), x0s)
         assert fit.success.all()
         assert fit.nit.max() < 30
         assert fit.message == ["predicted decrease under 4 ulps of the value"] * 4
         np.testing.assert_allclose(fit.x, [centre] * 4, atol=1e-3)
 
     def _assert_rows_are_lone_runs(self, fun, hess, x0s):
-        fit, _, _ = self._run(fun, hess, x0s)
+        fit, _ = self._run(fun, hess, x0s)
         for row, x0 in enumerate(x0s):
-            lone, _, _ = self._run(fun, hess, [x0])
+            lone, _ = self._run(fun, hess, [x0])
             np.testing.assert_allclose(fit.x[row], lone.x[0], rtol=0, atol=1e-12)
             assert abs(fit.fun[row] - lone.fun[0]) <= 1e-12
-            for count in ("nit", "nfev", "nhev"):
-                assert fit[count][row] == lone[count][0], count
+            for count in ("nit", "nfev"):
+                assert getattr(fit, count)[row] == getattr(lone, count)[0], count
             assert fit.success[row] == lone.success[0]
         return fit
 
@@ -358,7 +360,7 @@ class TestTrustNewton:
         fun, hess = self._fenced(np.inf)
         fit = self._assert_rows_are_lone_runs(fun, hess, [(1.0, 0.0), (0.1, 0.0)])
         # at the optimum the gradient is 0: one empty closing Newton step
-        assert fit.success[0] and fit.nit[0] == 1 and fit.nhev[0] == 1
+        assert fit.success[0] and fit.nit[0] == 1
         np.testing.assert_array_equal(fit.x[0], [1.0, 0.0])
         assert fit.success[1] and fit.nit[1] > 1
         np.testing.assert_allclose(fit.x[1], [1.0, 0.0], atol=1e-6)
@@ -466,7 +468,7 @@ class TestIdentifiability:
 class TestSampleChecks:
     """Both sampled estimators reject bad samples, naming the first bad path."""
 
-    CASES = ["nan", "inf", "-inf", "negative", "empty", "short", "long", "first_bad"]
+    CASES = ["nan", "inf", "-inf", "negative", "empty", "short", "long", "first_bad", "zeros"]
 
     @staticmethod
     def _samples(case):
@@ -479,6 +481,8 @@ class TestSampleChecks:
         y = samples[0].copy()
         if case == "empty":
             y = y[:0]
+        elif case == "zeros":
+            y = np.zeros_like(y)
         elif case == "first_bad":
             y[3] = -0.5
             samples[1] = samples[1].copy()
@@ -488,6 +492,7 @@ class TestSampleChecks:
         samples[0] = y
         message = {
             "empty": "no samples", "negative": "negative delays", "first_bad": "negative delays",
+            "zeros": "only zero delays",
         }.get(case, "non-finite values")
         return samples, f"path 0 has {message}"
 
@@ -508,6 +513,29 @@ class TestSampleChecks:
         samples, message = self._samples(case)
         with pytest.raises(ValueError, match=message):
             pipeline.estimate_exp(EXPT1, samples=samples)
+
+
+class TestRateChecks:
+    """Both weight estimators reject rates that are not finite, > 0 and
+    pairwise distinct, or fewer than two, before any other work."""
+
+    @pytest.mark.parametrize("rates, message", [
+        pytest.param((5.0, 5.0, 1.0), "pairwise distinct", id="repeated"),
+        pytest.param((5.0, np.nan, 1.0), "finite and strictly positive", id="nan"),
+        pytest.param((5.0, np.inf, 1.0), "finite and strictly positive", id="inf"),
+        pytest.param((5.0, 0.0, 1.0), "finite and strictly positive", id="zero"),
+        pytest.param((5.0,), "need at least 2 rates", id="one"),
+    ])
+    @pytest.mark.parametrize("estimator", ["estimate_gh", "algebraic_gh"])
+    def test_rejects(self, monkeypatch, estimator, rates, message):
+        samples = sample_paths(EXPT1, [GhMix(RATES, w) for w in WEIGHTS], 1000, seed=0).samples
+
+        def read_samples(*args, **kwargs):
+            raise AssertionError("the samples were read before the rates were checked")
+
+        monkeypatch.setattr(pipeline, "_checked_paths", read_samples)
+        with pytest.raises(ValueError, match=message):
+            getattr(pipeline, estimator)(EXPT1, rates, samples=samples)
 
 
 class TestGroundTruth:
