@@ -4,18 +4,17 @@
     python scripts/start_census.py --experiments expt3 --seeds 1000-1039 1300-1399
 
 For each bundled experiment and seed, this draws ``--L`` samples per path with
-that seed and runs the shipped sampled estimate (``estimate_gh`` with
-``solver_seed`` = the seed, as ``run_experiment`` does).  It records the
-fit's batch of starts, then continues the same start sequence (the uniform
-weights, then the Dirichlet draws of ``np.random.default_rng(seed)``) up to
-``--starts`` starts, fitting the rest as one more batch with the fit's own
-objective and optimizer; a start's fit does not depend on the other
-starts of its batch.  Per run it prints the smallest K whose best-of-K is
-within ``--tol`` nats of the best of all starts, the shipped fit's gap to
-that best, how far the shipped weights lie from the best start's, and each
-shipped start's iteration count: the batch runs as many iterations as its
-slowest start.  The last line counts the runs on which the shipped start
-count falls short.
+that seed and fits one batch of ``--starts`` starts, drawn by the fit's own
+start rule (``pipeline._likelihood_starts`` seeded by the seed, as
+``run_experiment`` seeds the fit), with the fit's own objective and
+optimizer.  The batch's first ``pipeline._N_STARTS`` rows are the shipped
+fit, since a start's fit does not depend on the other starts of its batch
+(``tests/test_start_census.py`` pins this against ``estimate_gh``).  Per run
+it prints the smallest K whose best-of-K is within ``--tol`` nats of the
+best of all starts, the shipped fit's gap to that best, how far the shipped
+weights lie from the best start's, and each shipped start's iteration
+count: the batch runs as many iterations as its slowest start.  The last
+line counts the runs on which the shipped start count falls short.
 """
 
 from __future__ import annotations
@@ -34,57 +33,32 @@ from disttomo.simulate import sample_paths  # noqa: E402
 
 def census_run(name: str, seed: int, n_samples: int, n_starts: int, tol: float) -> dict:
     """Fit one sampled run from ``n_starts`` starts; see the module docstring."""
+    if n_starts < pipeline._N_STARTS:
+        raise ValueError(f"need at least the fit's {pipeline._N_STARTS} starts, got {n_starts}")
     setup = experiments.get_setup(name)
     a, rates = setup.matrix, setup.effective_rates
     n, d = a.n_links, len(rates) - 1
     samples = sample_paths(a, setup.mixes(), n_samples, seed=seed).samples
-
-    shipped_trust_newton = pipeline._trust_newton
-    calls = []
-
-    def record(fun, x0):
-        fit = shipped_trust_newton(fun, x0)
-        calls.append((fun, np.array(x0), fit))
-        return fit
-
-    pipeline._trust_newton = record
-    try:
-        result, _ = pipeline.estimate_gh(
-            a, rates, samples=samples,
-            options=pipeline.EstimateOptions(tau_seed=seed, solver_seed=seed),
-        )
-    finally:
-        pipeline._trust_newton = shipped_trust_newton
-
-    if len(calls) != 1:
-        raise RuntimeError(f"the shipped fit made {len(calls)} optimizer calls, not one batch")
-    (fun, shipped_starts, shipped), = calls
-    rng = np.random.default_rng(seed)
-    starts = np.array([np.full(n * d, 1.0 / (d + 1))] + [
-        rng.dirichlet(np.ones(d + 1), size=n)[:, :d].ravel() for _ in range(n_starts - 1)
-    ])
-    n_shipped = len(shipped_starts)
-    if not np.array_equal(shipped_starts, starts[:n_shipped]):
-        raise RuntimeError("the shipped fit's starts are not the census's first starts")
-    fits = [shipped]
-    if n_starts > n_shipped:
-        fits.append(shipped_trust_newton(fun, starts[n_shipped:]))
-    values = np.concatenate([fit.fun for fit in fits])
-    xs = np.concatenate([fit.x for fit in fits])
+    fits = pipeline._trust_newton(
+        pipeline._likelihood_objective(a, rates, samples),
+        pipeline._likelihood_starts(n, d, seed, n_starts),
+    )
+    values = np.where(np.isnan(fits.fun), np.inf, fits.fun)
+    n_shipped = pipeline._N_STARTS
     best = values.min()
     k_needed = int(np.argmax(np.minimum.accumulate(values) <= best + tol)) + 1
-    best_free = xs[int(np.argmin(values))].reshape(n, d)
-    best_weights = np.column_stack([best_free, 1.0 - best_free.sum(axis=1)])
+    free = fits.x[[np.argmin(values[:n_shipped]), np.argmin(values)]].reshape(2, n, d)
+    shipped_weights, best_weights = np.concatenate([free, 1.0 - free.sum(2, keepdims=True)], 2)
     return {
         "experiment": name,
         "seed": seed,
         "shipped_starts": n_shipped,
         "k_needed": k_needed,
         "shipped_gap": float(values[:n_shipped].min() - best),
-        "weight_change": float(np.abs(result.weights - best_weights).max()),
-        "converged": sum(int(fit.success.sum()) for fit in fits),
+        "weight_change": float(np.abs(shipped_weights - best_weights).max()),
+        "converged": int(fits.success.sum()),
         "starts": len(values),
-        "nit": shipped.nit.tolist(),
+        "nit": fits.nit[:n_shipped].tolist(),
     }
 
 

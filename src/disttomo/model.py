@@ -186,7 +186,8 @@ def _erlang_cdfs(m: int, x: np.ndarray) -> np.ndarray:
 def hypoexp_cdf(rates, y) -> np.ndarray:
     """CDF of a sum of independent exponentials with the given rates.
 
-    Repeated rates are allowed (Erlang blocks).  The Laplace transform
+    The rates must be nonempty, finite and > 0, or ``ValueError``; repeated
+    rates are allowed (Erlang blocks).  The Laplace transform
     prod_i (r_i/(s+r_i))^{m_i} is expanded by partial fractions into terms
     A_{ik}/(s+r_i)^k, so the CDF is a signed combination of Erlang CDFs
     P(k, r_i y) = 1 - e^{-r_i y} sum_{j<k} (r_i y)^j/j!, all orders k of one
@@ -197,8 +198,8 @@ def hypoexp_cdf(rates, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
     rates = [float(r) for r in rates]
-    if not rates or any(r <= 0 for r in rates):
-        raise ValueError(f"rates must be nonempty and strictly positive, got {rates}")
+    if not rates or not all(0.0 < r < math.inf for r in rates):
+        raise ValueError(f"rates must be nonempty, finite and strictly positive, got {rates}")
     mult = Counter(rates)
     distinct = sorted(mult)
     log_c = sum(m * math.log(r) for r, m in mult.items())

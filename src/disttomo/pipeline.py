@@ -221,7 +221,7 @@ def _trust_newton(fun, x0):
     unsuccessfully, when the model predicts no decrease or after 200 steps.
 
     Returns a ``SimpleNamespace`` whose fields hold one entry per start:
-    ``x``, ``fun``, ``jac``, ``success``, ``message``, and the counts
+    ``x``, ``fun``, ``success``, ``message``, and the counts
     ``nit`` (steps tried) and ``nfev`` (points ``fun`` was evaluated at).
     """
     x = np.array(x0, dtype=float)
@@ -270,9 +270,7 @@ def _trust_newton(fun, x0):
             message[i] = ("predicted decrease under 4 ulps of the value" if floor_stop
                           else "Newton decrement below 1e-8")
         active = rows[~ended & (nit[rows] < 200)]
-    return SimpleNamespace(
-        x=x, fun=f, jac=g, nit=nit, nfev=nfev, success=success, message=message
-    )
+    return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, success=success, message=message)
 
 
 def _bin_tables(a: model.RoutingMatrix, lam: np.ndarray, samples, n_bins: int) -> dict:
@@ -316,51 +314,67 @@ def _kron(w: np.ndarray, positions) -> np.ndarray:
     return kron
 
 
-def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> np.ndarray:
-    """Binned maximum-likelihood fit of the (N, d) free-weight matrix.
+def _path_probs(w: np.ndarray, tables: np.ndarray):
+    """The bin probabilities p (S, P, bins) of P paths of N links each and
+    their derivatives (S, P, N(d+1), bins) at S batches of the links'
+    weights ``w`` (S, P, N, d+1), from the paths' ``_bin_tables`` tables.
 
-    Each path's delay is a mixture over stage assignments of hypoexponential
-    distributions, so the probability of every one of its 1000 quantile
-    bins (``_bin_tables``) is a multilinear form in the link weight vectors;
-    the bin-count log likelihood is then maximized jointly over all links
-    and the best-likelihood fit is returned.  This squeezes the full
-    per-sample information out of the data, unlike the handful of MGF
-    evaluations the polynomial stage consumes.
+    p is multilinear, a ``_kron`` of weight vectors times a table.  A table
+    is symmetric in its link axes, so the ``_kron`` of all positions but k
+    times the table, read as ((d+1)^(N-1), (d+1) bins), is dp/dw_k, for all
+    k in one ``matmul``; p is position 0's derivative times its weights.
+    """
+    n_s, n_p, n_i, d1 = w.shape
+    kron = _kron(w, [[q for q in range(n_i) if q != k] for k in range(n_i)])[..., None, :]
+    by_last = tables.reshape(n_p, 1, kron.shape[-1], -1)  # (P, 1, (d+1)^(N-1), (d+1) bins)
+    dprobs = np.matmul(kron, by_last).reshape(n_s, n_p, n_i * d1, -1)
+    probs = np.matmul(w[:, :, 0, None, :], dprobs[:, :, :d1])[:, :, 0]
+    return probs, dprobs
 
-    The fit runs from seven starts, the uniform weights and the first six
-    Dirichlet draws seeded by ``seed``, and keeps the best.  Restarts
-    matter: a single start can settle in a spurious basin that the
-    likelihood ranks below the genuine one.  Seven suffice: on 440 sampled
-    runs of expt1-3 at L = 1e6 (seeds 0-19 of each; expt3 seeds 1000-1039,
-    1100-1159, 1200-1259 and 1300-1399; expt1 and expt2 seeds 1000-1019,
-    1100-1119 and 1200-1219), the best of the first seven was within 1e-6
-    nats of the best of seventeen every time, and two runs needed the sixth
-    start.  ``scripts/start_census.py`` repeats that census.
 
-    The seven starts advance together as one batch of trust-region Newton
-    fits (``_trust_newton``) on the exact Hessian: with n*d free weights, at
-    most a dozen on the bundled topologies, the Hessian costs about one
-    more batched matmul than the gradient, and a start converges in 10-20
-    steps.  Each iteration makes one objective call at the active starts'
-    trial points, which returns their values, gradients and Hessians from
-    the same products; the optimizer keeps a trial point's Hessian only
-    where its step is taken.
+def _path_curvature(w: np.ndarray, tables: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The sum over bins of ``v`` (S, P, bins) times p's second derivatives,
+    (S, P, N(d+1), N(d+1)), with ``w`` and ``tables`` as in ``_path_probs``.
+
+    p is multilinear, so its only second derivatives pair two positions
+    k < m: the remaining ones' ``_kron`` times the tables times ``v``, read
+    with k and m last as the tables are symmetric, which also makes that
+    block its own transpose, the (m, k) block.
+    """
+    n_s, n_p, n_i, d1 = w.shape
+    curv = np.zeros((n_s, n_p, n_i, d1, n_i, d1))
+    pairs = list(combinations(range(n_i), 2))
+    if pairs:
+        rest = [[q for q in range(n_i) if q not in pair] for pair in pairs]
+        r = np.matmul(tables, v[..., None]).reshape(n_s, n_p, 1, -1, d1 * d1)
+        cross = (_kron(w, rest)[..., None, :] @ r).reshape(n_s, n_p, -1, d1, d1)
+        for j, (k, m) in enumerate(pairs):
+            curv[:, :, k, :, m] = curv[:, :, m, :, k] = cross[:, :, j]
+    return curv.reshape(n_s, n_p, n_i * d1, n_i * d1)
+
+
+def _likelihood_objective(a: model.RoutingMatrix, lambdas, samples):
+    """The fit's objective: from an (S, N*d) batch of free weights to the
+    values (S,), gradients and Hessians of the penalised binned negative log
+    likelihood over all paths.
+
+    Each path's delay is a mixture over stage assignments of
+    hypoexponential distributions, so the probability of every one of its
+    1000 quantile bins (``_bin_tables``) is multilinear in the link weight
+    vectors (``_path_probs``).  This squeezes the full per-sample
+    information out of the data, unlike the handful of MGF evaluations the
+    polynomial stage consumes.
 
     The objective is evaluated in stacked form, so its numpy call count does
     not grow with the number of paths or starts; the starts stay a batch
     axis of every product, so each start's values are computed exactly as
     they would be alone.  Paths are grouped by link count N, their tables
-    stacked and padded with zero-count bins.  Every contraction is a
-    ``_kron`` of weight vectors times a table.  A table is symmetric in its
-    link axes, so the ``_kron`` of all positions but k times the table, read
-    as ((d+1)^(N-1), (d+1) bins), is dp/dw_k, for all k in one ``matmul``.
-    p is position 0's derivative times its weights, and the gradient the
-    derivatives times the count/probability ratio.  The Hessian's
-    Gauss-Newton part is the derivatives weighted by count/p^2; since p is
-    multilinear its other terms pair two positions, the remaining ones'
-    ``_kron`` times the tables times the ratio.  All of this is taken in all
-    links' full weights; one constant lift carries it to the free weights
-    (+1 on a free weight, -1 on the last stage's, one minus the others).
+    stacked and padded with zero-count bins.  The gradient is the
+    derivatives times the count/p ratio; the Hessian is the derivatives
+    weighted by count/p^2 less ``_path_curvature`` of the ratio.  All of
+    this is taken in all links' full weights; one constant lift carries it
+    to the free weights (+1 on a free weight, -1 on the last stage's, one
+    minus the others).
 
     Bin probabilities are floored at 1e-12 (with the derivatives masked there)
     so a handful of tail outliers the rate model cannot explain contribute
@@ -370,7 +384,7 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     are not valid distributions can otherwise chase model mismatch to
     arbitrarily wild fits.
     """
-    n_bins, n_starts = 1000, 6
+    n_bins = 1000
     lam = np.asarray(lambdas, dtype=float)
     d = lam.size - 1
     n = a.n_links
@@ -402,12 +416,8 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
         grad = np.zeros((n_s, 1, k_full))
         hess = np.zeros((n_s, k_full, k_full))
         for link_idx, counts, tables, jac in groups:
-            n_p, n_i = link_idx.shape
             w = w_full[:, link_idx]  # (S, P, N, d+1)
-            kron = _kron(w, [[q for q in range(n_i) if q != k] for k in range(n_i)])[..., None, :]
-            by_last = tables.reshape(n_p, 1, kron.shape[-1], -1)  # (P, 1, (d+1)^(N-1), (d+1) bins)
-            dprobs = np.matmul(kron, by_last).reshape(n_s, n_p, n_i * (d + 1), -1)
-            probs = np.matmul(w[:, :, 0, None, :], dprobs[:, :, :d + 1])[:, :, 0]  # (S, P, bins)
+            probs, dprobs = _path_probs(w, tables)
             clamped = np.maximum(probs, floor)
             log_p = np.log(clamped).reshape(n_s, 1, -1)
             total -= np.matmul(log_p, counts.reshape(-1, 1))[:, 0, 0]
@@ -416,18 +426,7 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
             grad -= np.matmul(dnll, jac.reshape(-1, k_full))
             # Gauss-Newton part: sum over bins of counts/p^2 dp dp^T
             block = np.matmul(dprobs * (ratio / clamped)[:, :, None, :], dprobs.swapaxes(2, 3))
-            # p is multilinear, so the only second derivatives pair two
-            # positions k < m: the remaining ones' ``_kron`` times the tables
-            # times the ratio, read with k and m last as the tables are symmetric
-            pairs = list(combinations(range(n_i), 2))
-            if pairs:
-                rest = [[q for q in range(n_i) if q not in pair] for pair in pairs]
-                r = np.matmul(tables, ratio[..., None]).reshape(n_s, n_p, 1, -1, (d + 1) ** 2)
-                cross = (_kron(w, rest)[..., None, :] @ r).reshape(n_s, n_p, -1, d + 1, d + 1)
-                by_pos = block.reshape(n_s, n_p, n_i, d + 1, n_i, d + 1)
-                for j, (k, m) in enumerate(pairs):
-                    by_pos[:, :, k, :, m] -= cross[:, :, j]
-                    by_pos[:, :, m, :, k] -= cross[:, :, j].swapaxes(2, 3)
+            block -= _path_curvature(w, tables, ratio)
             hess += jac.reshape(-1, k_full).T @ np.matmul(block, jac).reshape(n_s, -1, k_full)
         dens = w_full @ dens_basis  # (S, N, grid)
         neg = np.minimum(dens, 0.0)
@@ -440,11 +439,46 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
             hess.reshape(n_s, n, d + 1, n, d + 1)[:, links, :, links, :] += curv.swapaxes(0, 1)
         return total, np.matmul(grad, lift)[:, 0], lift.T @ hess @ lift
 
+    return objective
+
+
+_N_STARTS = 7
+
+
+def _likelihood_starts(n: int, d: int, seed: int, count: int = _N_STARTS) -> np.ndarray:
+    """The fit's ``count`` starts as rows of free weights: the uniform
+    weights, then Dirichlet draws seeded by ``seed``.
+
+    Restarts matter: a single start can settle in a spurious basin that the
+    likelihood ranks below the genuine one.  Seven suffice: on 440 sampled
+    runs of expt1-3 at L = 1e6 (seeds 0-19 of each; expt3 seeds 1000-1039,
+    1100-1159, 1200-1259 and 1300-1399; expt1 and expt2 seeds 1000-1019,
+    1100-1119 and 1200-1219), the best of the first seven was within 1e-6
+    nats of the best of seventeen every time, and two runs needed the sixth
+    start.  ``scripts/start_census.py`` repeats that census.
+    """
     rng = np.random.default_rng(seed)
-    starts = np.array([np.full((n, d), 1.0 / (d + 1))] + [
-        rng.dirichlet(np.ones(d + 1), size=n)[:, :d] for _ in range(n_starts)
-    ]).reshape(n_starts + 1, n * d)
-    fits = _trust_newton(objective, starts)
+    return np.array([np.full((n, d), 1.0 / (d + 1))] + [
+        rng.dirichlet(np.ones(d + 1), size=n)[:, :d] for _ in range(count - 1)
+    ]).reshape(count, n * d)
+
+
+def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> np.ndarray:
+    """Binned maximum-likelihood fit of the (N, d) free-weight matrix: the
+    best fit of ``_likelihood_objective`` from ``_likelihood_starts``.
+
+    The starts advance together as one batch of trust-region Newton fits
+    (``_trust_newton``) on the exact Hessian: with n*d free weights, at
+    most a dozen on the bundled topologies, the Hessian costs about one
+    more batched matmul than the gradient, and a start converges in 10-20
+    steps.  Each iteration makes one objective call at the active starts'
+    trial points, which returns their values, gradients and Hessians from
+    the same products; the optimizer keeps a trial point's Hessian only
+    where its step is taken.
+    """
+    n, d = a.n_links, len(lambdas) - 1
+    objective = _likelihood_objective(a, lambdas, samples)
+    fits = _trust_newton(objective, _likelihood_starts(n, d, seed))
     values = np.where(np.isnan(fits.fun), np.inf, fits.fun)
     if not (values < np.inf).any():
         raise RuntimeError("likelihood polish failed from every starting point")
@@ -638,7 +672,8 @@ def estimate_exp(
     ``ground_truth``, when given, is a vector of link means and
     ``error_norm`` the estimate's distance from it.  Returns (means array,
     MatchResult, per-path diagnostics) and raises ``match.AmbiguityError``
-    when matching fails.
+    when matching fails, and ``RuntimeError``, naming the link, when an
+    estimated mean is not finite and > 0, as one extreme delay can make it.
     """
     opts = options or EstimateOptions()
     for j, mean in enumerate(exact_means if exact_means is not None else ()):
@@ -662,4 +697,7 @@ def estimate_exp(
         expmeans.build_mean_system,
     )
     means = result.weights[:, 0].copy()
+    for j, mean in enumerate(means):
+        if not 0.0 < mean < math.inf:
+            raise RuntimeError(f"estimated mean of link {j} is {mean}; need finite and > 0")
     return means, replace(result, error_norm=_error_norm(means, ground_truth)), diagnostics

@@ -265,6 +265,20 @@ class TestEstimate:
             b"0,0,0.10000000000000001\r\n0,1,2\r\n1,0,0.33333333333333331\r\n"
         )
 
+    def test_mean_that_is_not_positive_exits_3(self, exp_topo_path, tmp_path, capsys):
+        # one delay of 1e10 on each path makes estimate_exp's link 0 mean negative
+        a = RoutingMatrix.from_array(EXPT1_TOPOLOGY["matrix"])
+        mixes = [GhMix(EXPT1_TOPOLOGY["rates"], w) for w in EXPT1_TOPOLOGY["links"]]
+        samples = tmp_path / "outlier.csv"
+        drawn = sample_paths(a, mixes, 1000, seed=0).samples
+        cli._write_csv(samples, [np.append(y, 1e10) for y in drawn])
+        out = tmp_path / "report.json"
+        argv = ["estimate", "--topology", exp_topo_path, "--model", "exp",
+                "--samples", str(samples), "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert "estimated mean of link 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_header_exits_2(self, topo_path, tmp_path, capsys):
         samples = tmp_path / "badhdr.csv"
         samples.write_text("pid,value\n0,1.5\n")

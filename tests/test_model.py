@@ -171,6 +171,9 @@ class TestHypoexpCdf:
             hypoexp_cdf((), 1.0)
         with pytest.raises(ValueError):
             hypoexp_cdf((1.0, -2.0), 1.0)
+        for rates in [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, 1.0), (-2.0, 1.0), ()]:
+            with pytest.raises(ValueError, match="nonempty, finite and strictly positive"):
+                hypoexp_cdf(rates, [1.0])
 
 
 class TestErlangCdfs:

@@ -39,23 +39,11 @@ class TestSampledLikelihoodFit:
         assert diagnostics == []
 
 
-class _Captured(Exception):
-    pass
-
-
 def _objective(monkeypatch, a, rates, samples):
-    """The likelihood fit's batched objective, taken from its ``_trust_newton``
-    call, as two callables: values and gradients, and Hessians."""
-    captured = []
-
-    def capture(fun, x0):
-        captured.append(fun)
-        raise _Captured
-
-    monkeypatch.setattr(pipeline, "_trust_newton", capture)
-    with pytest.raises(_Captured):
-        pipeline._likelihood_polish(a, rates, samples, seed=0)
-    fun = captured[0]
+    """The likelihood fit's batched objective (``_likelihood_objective``) as
+    two callables: values and gradients, and Hessians.  ``monkeypatch`` is
+    not used."""
+    fun = pipeline._likelihood_objective(a, rates, samples)
     return (lambda x: fun(x)[:2], lambda x: fun(x)[2])
 
 
@@ -133,6 +121,55 @@ class TestLikelihoodObjective:
             total_grad[links] += g.reshape(len(links), 2)
         assert value == pytest.approx(total, rel=1e-12)
         np.testing.assert_allclose(grad, total_grad.ravel(), rtol=1e-9)
+
+
+class TestPathModel:
+    """``_path_probs`` and ``_path_curvature`` on the stacked tables of
+    ``TestLikelihoodObjective.MIXED``, at signed weight rows that sum to 1."""
+
+    @staticmethod
+    def _stacks():
+        samples = TestLikelihoodObjective()._samples()
+        a = TestLikelihoodObjective.MIXED
+        rng = np.random.default_rng(8)
+        free = rng.normal(size=(3, a.n_links, 2))
+        w_full = np.concatenate([free, 1.0 - free.sum(axis=2, keepdims=True)], axis=2)
+        by_length = pipeline._bin_tables(a, np.array(RATES), samples, 1000)
+        assert sorted(by_length) == [2, 3]
+        for members in by_length.values():
+            width = max(c.size for _, c, _ in members)
+            tables = np.array([np.pad(t, ((0, 0), (0, width - t.shape[1])))
+                               for _, _, t in members])
+            yield w_full[:, np.array([links for links, _, _ in members])], tables, rng
+
+    def test_bins_sum_to_one(self):
+        for w, tables, _ in self._stacks():
+            probs, _ = pipeline._path_probs(w, tables)
+            assert np.abs(probs.sum(axis=2) - 1.0).max() <= 1e-12
+
+    def test_probs_are_each_position_times_its_derivative(self):
+        for w, tables, _ in self._stacks():
+            probs, dprobs = pipeline._path_probs(w, tables)
+            n_s, n_p, n_i, d1 = w.shape
+            by_position = np.einsum("spnk,spnkb->spnb", w, dprobs.reshape(n_s, n_p, n_i, d1, -1))
+            # relative to each path's largest bin: signed weights make single
+            # bins cancel to near zero
+            scale = np.abs(probs).max(axis=2)[:, :, None]
+            assert (np.abs(by_position - probs[:, :, None]).max(axis=3) <= 1e-12 * scale).all()
+
+    def test_curvature_matches_central_differences(self):
+        h = 1e-3
+        for w, tables, rng in self._stacks():
+            n_s, n_p, n_i, d1 = w.shape
+            v = rng.normal(size=pipeline._path_probs(w, tables)[0].shape)
+            analytic = pipeline._path_curvature(w, tables, v)
+            numeric = np.zeros_like(analytic)
+            for q in range(n_i * d1):
+                step = (h * np.eye(n_i * d1)[q]).reshape(n_i, d1)
+                up, down = (pipeline._path_probs(w + sign * step, tables)[1] @ v[..., None]
+                            for sign in (1.0, -1.0))
+                numeric[..., q] = (up - down)[..., 0] / (2 * h)
+            assert np.linalg.norm(analytic - numeric) <= 1e-10 * np.linalg.norm(analytic)
 
 
 class TestBinTables:
@@ -512,6 +549,16 @@ class TestSampleChecks:
     def test_estimate_exp_rejects(self, case):
         samples, message = self._samples(case)
         with pytest.raises(ValueError, match=message):
+            pipeline.estimate_exp(EXPT1, samples=samples)
+
+
+class TestEstimatedMeans:
+    def test_mean_that_is_not_positive_raises_naming_the_link(self):
+        # one delay of 1e10 on each path dominates the sample means that
+        # scale the probe points, and link 0's mean comes out -472782.6
+        mixes = [GhMix(RATES, w) for w in WEIGHTS]
+        samples = [np.append(y, 1e10) for y in sample_paths(EXPT1, mixes, 1000, seed=0).samples]
+        with pytest.raises(RuntimeError, match=r"estimated mean of link 0 is -472782\.5"):
             pipeline.estimate_exp(EXPT1, samples=samples)
 
 
