@@ -4,6 +4,15 @@ Each path gets its own RNG substream derived from a single master seed via
 ``numpy.random.SeedSequence.spawn``, so per-path generation is reproducible,
 independent across paths (no shared link draws), and identical whether paths
 are generated serially or in parallel.
+
+The draw order is a contract that tests pin bit for bit.  Per seed: one
+``spawn`` child per path; then, for each of the path's links in sorted
+order, one uniform per sample for the stage (the number of normalised-CDF
+entries at or below it, what ``Generator.choice`` draws), then one standard
+exponential per sample, multiplied by ``1 / rate`` of its stage.  A signed
+mixture takes one uniform per sample and inverts the CDF instead.  The
+path's delay is the running sum of its links' draws, starting from the
+first link's.
 """
 
 from __future__ import annotations
@@ -53,9 +62,22 @@ def sample_mix(mix: GhMix, rng: np.random.Generator, size: int = 1) -> np.ndarra
     if size < 1:
         raise ValueError("size must be >= 1")
     if mix.is_proper_mixture():
-        stages = rng.choice(mix.n_stages, size=size, p=mix.weights)
-        scales = 1.0 / np.asarray(mix.rates)
-        return rng.exponential(scale=scales[stages])
+        # Generator.choice(p=weights) draws the stage as the number of
+        # normalised-CDF entries at or below one uniform; the last entry is
+        # 1.0 and never counts.  The count goes into the smallest unsigned
+        # type that holds the last stage, one byte up to 256 stages, and the
+        # uniforms are freed before the exponentials are drawn, to lower the
+        # peak memory.
+        cdf = np.cumsum(mix.weights)
+        cdf /= cdf[-1]
+        u = rng.random(size)
+        stage = np.zeros(size, dtype=np.min_scalar_type(mix.n_stages - 1))
+        for c in cdf[:-1]:
+            stage += u >= c
+        del u
+        draws = rng.standard_exponential(size)
+        draws *= (1.0 / np.asarray(mix.rates))[stage]
+        return draws
     u = rng.random(size)
     return _inverse_cdf(mix, u)
 
@@ -70,12 +92,23 @@ def _inverse_cdf(mix: GhMix, u: np.ndarray) -> np.ndarray:
 
     hi = np.full_like(u, 1.0 / rates.min())
     # Grow the bracket until the CDF exceeds every target quantile.
-    while np.any(cdf(hi) < u):
-        hi = np.where(cdf(hi) < u, hi * 2.0, hi)
+    short = cdf(hi) < u
+    while np.any(short):
+        hi = np.where(short, hi * 2.0, hi)
+        short = cdf(hi) < u
     lo = np.zeros_like(u)
-    while np.max(hi - lo) > _INV_CDF_TOL:
+    # Past delays of about 4,500 one float spacing exceeds the tolerance, so
+    # a bracket can stick at one ulp wider than it: stop once a step would
+    # move no bracket that is still too wide.  Until then every bracket is
+    # bisected, the same steps a loop on width alone takes when it ends.
+    while True:
+        wide = hi - lo > _INV_CDF_TOL
+        if not np.any(wide):
+            break
         mid = 0.5 * (lo + hi)
         below = cdf(mid) < u
+        if not np.any(wide & np.where(below, mid != lo, mid != hi)):
+            break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -103,8 +136,9 @@ def sample_paths(
     per_path = []
     for i in range(a.n_paths):
         rng = np.random.default_rng(streams[i])
-        total = np.zeros(n_samples)
-        for j in sorted(a.path_links(i)):
+        first, *rest = sorted(a.path_links(i))
+        total = sample_mix(mixes[first], rng, n_samples)
+        for j in rest:
             total += sample_mix(mixes[j], rng, n_samples)
         per_path.append(total)
     return SampleSet(samples=tuple(per_path), seed=seed)

@@ -1,9 +1,7 @@
 import json
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,18 +22,15 @@ EXPT1_TOPOLOGY = {
 }
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(package_env):
     # the runtime needs only numpy; scipy is a test dependency
-    src = str(Path(disttomo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
     code = (
         "import sys, disttomo.cli; print(disttomo.__file__); "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
+        check=True,
     ).stdout.splitlines()
     assert out == [disttomo.__file__, "[]"]
 
@@ -264,6 +259,23 @@ class TestEstimate:
             b"path_id,sample_index,value\r\n"
             b"0,0,0.10000000000000001\r\n0,1,2\r\n1,0,0.33333333333333331\r\n"
         )
+
+    def test_write_csv_matches_row_by_row_writer(self, tmp_path):
+        def row_by_row(path, samples):
+            with open(path, "w", newline="") as fh:
+                fh.write("path_id,sample_index,value\r\n")
+                for path_id, values in enumerate(samples):
+                    fh.writelines(
+                        f"{path_id},{idx},{value:.17g}\r\n"
+                        for idx, value in enumerate(values.tolist())
+                    )
+
+        chunk = cli._CSV_CHUNK
+        values = np.array([1e10, 1e-7, 2.0, 1.0 / 3.0])
+        samples = [np.resize(values, n) for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)]
+        cli._write_csv(tmp_path / "chunked.csv", samples)
+        row_by_row(tmp_path / "rows.csv", samples)
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_mean_that_is_not_positive_exits_3(self, exp_topo_path, tmp_path, capsys):
         # one delay of 1e10 on each path makes estimate_exp's link 0 mean negative

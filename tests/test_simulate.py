@@ -1,7 +1,13 @@
+import hashlib
+import io
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
+from disttomo import experiments
 from disttomo.model import GhMix, RoutingMatrix, gh_cdf, gh_mgf
 from disttomo.simulate import SampleSet, sample_mix, sample_paths
 
@@ -44,9 +50,77 @@ class TestSampleMix:
         stat = kstest(draws, lambda u: np.vectorize(gh_cdf)(mix, u))
         assert stat.pvalue > 0.01
 
+    def test_signed_mixture_with_large_delays_terminates(self, package_env):
+        # Past delays of about 4,500 a bisection bracket can stick one float
+        # spacing wide, above the 1e-12 stop; a subprocess with a timeout
+        # turns a sampler that never returns into a failure.
+        mix = GhMix((1e-4, 2e-4), (2.0, -1.0))
+        code = (
+            "import sys, numpy as np\n"
+            "from disttomo.model import GhMix\n"
+            "from disttomo.simulate import sample_mix\n"
+            f"mix = GhMix({mix.rates!r}, {mix.weights!r})\n"
+            "np.save(sys.stdout.buffer, sample_mix(mix, np.random.default_rng(0), 1000))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=package_env, capture_output=True, check=True,
+            timeout=60,
+        ).stdout
+        draws = np.load(io.BytesIO(out))
+        assert draws.shape == (1000,) and draws.max() > 4500
+        assert kstest(draws, lambda u: np.vectorize(gh_cdf)(mix, u)).pvalue > 0.01
+
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             sample_mix(LINK1, np.random.default_rng(0), size=0)
+
+
+def _choice_draw(mix, rng, size):
+    """The proper-mixture draw written with ``Generator.choice`` and a scaled
+    ``Generator.exponential``: the stream ``sample_mix`` keeps, bit for bit."""
+    stages = rng.choice(mix.n_stages, size=size, p=mix.weights)
+    return rng.exponential(scale=(1.0 / np.asarray(mix.rates))[stages])
+
+
+def _stream_pin_mixes():
+    links = [
+        mix for name in ("expt1", "expt2", "expt3")
+        for mix in experiments.get_setup(name).mixes()
+    ]
+    rng = np.random.default_rng(300)
+    weights = rng.dirichlet(np.ones(300))
+    weights /= weights.sum()
+    return links + [
+        GhMix((2.0,), (1.0,)),
+        GhMix(TABLE1_RATES, (1.0, 0.0, 0.0)),
+        GhMix(TABLE1_RATES, (0.0, 1.0, 0.0)),
+        GhMix(tuple(np.linspace(300.0, 1.0, 300)), tuple(weights)),
+    ]
+
+
+class TestStreamPin:
+    @pytest.mark.parametrize("mix", _stream_pin_mixes(), ids=lambda m: f"{m.n_stages}-stage")
+    def test_proper_mixture_matches_choice_draw(self, mix):
+        for seed in range(4):
+            for size in (1, 7, 5000):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_mix(mix, ours, size)
+                want = _choice_draw(mix, ref, size)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                # both consumed the same stretch of the stream
+                assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("expt1", "0cb31ce94b9010e328c0137c573f1af6711980601fd33562dae55681f4207cb6"),
+        ("expt2", "2889c93a46ddbdbf20f11b31588c0e21f758917b3fe4134369ae54715b9a7c26"),
+        ("expt3", "9d975ed577de17f0f342b3db43bd03df6d14186f5de7cf274fb14abf0d7e8e70"),
+    ])
+    def test_sample_paths_digest(self, name, digest):
+        setup = experiments.get_setup(name)
+        h = hashlib.sha256()
+        for y in sample_paths(setup.matrix, setup.mixes(), 10**6, seed=0).samples:
+            h.update(y.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestSamplePaths:
