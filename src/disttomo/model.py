@@ -252,7 +252,7 @@ class RoutingMatrix:
     _sets: IncidenceSets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(row) for row in self.entries)
         if not rows or not rows[0]:
             raise ValueError("routing matrix must be non-empty")
         width = len(rows[0])
@@ -262,12 +262,12 @@ class RoutingMatrix:
             raise ValueError("routing matrix entries must be 0 or 1")
         if any(all(v == 0 for v in row) for row in rows):
             raise ValueError("routing matrix has an all-zero row (empty path)")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_sets", incidence_sets(rows))
+        object.__setattr__(self, "entries", tuple(tuple(int(v) for v in row) for row in rows))
+        object.__setattr__(self, "_sets", incidence_sets(self.entries))
 
     @classmethod
     def from_array(cls, array) -> "RoutingMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in np.asarray(array)))
+        return cls(np.asarray(array))
 
     def to_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=int)

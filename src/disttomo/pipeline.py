@@ -129,74 +129,40 @@ def _quantile_edges(y: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _trust_step(gq, lam, radius):
-    """Minimise ``gq @ p + lam @ p**2 / 2`` over ``|p| <= radius`` exactly,
-    for a batch of subproblems, one per row.
+    """A step within ``|p| <= radius`` that lowers ``gq @ p + lam @ p**2 / 2``,
+    in closed form, for a batch of trust-region subproblems, one per row.
 
-    This is the trust-region subproblem in the eigenbasis of the Hessian:
-    ``lam`` holds its eigenvalues in ascending order and ``gq`` the gradient's
-    components along their eigenvectors.  The minimiser is
-    ``p(s) = -gq / (lam + s)`` for the least shift ``s >= max(0, -lam[0])``
-    that puts it inside the ball (Moré & Sorensen, 1983); on the boundary,
-    ``s`` solves the secular equation ``1/|p(s)| = 1/radius`` by Newton
-    steps.  Returns the steps, in the eigenbasis, and whether each lies on
-    the boundary.
+    ``lam`` holds the Hessian's eigenvalues in ascending order and ``gq`` the
+    gradient's components along their eigenvectors.  The step is the Newton
+    step ``-gq / lam`` where the Hessian is positive definite and that fits,
+    else ``-gq / (lam + s)``, ``s = max(-lam[0] (1 + 1e-12), |gq| / radius -
+    lam[0])``, which stays in the ball; an indefinite Hessian's step then
+    goes downhill along the lowest eigenvector to the boundary.  It is an
+    approximate subproblem solution (Nocedal & Wright, ch. 4).  Returns the
+    steps, in the eigenbasis, and whether each is not the Newton step.
     """
-    r2 = radius * radius
-    lo = np.maximum(0.0, -lam[:, 0])
-    shifted = lam + lo[:, None]
-    indefinite = lam[:, 0] <= 0
-    tiny = 1e-12 * np.maximum(lo, lam[:, -1])
-    pole = (shifted <= tiny[:, None]) & indefinite[:, None]
-    p = -gq / np.where(pole, 1.0, shifted)
-    p[pole] = 0.0
-    slack = r2 - (p * p).sum(axis=1)
-    boundary = indefinite | (slack < 0)
-    # The hard case: the gradient has (next to) no part along the lowest
-    # curvature, so the shift sits at the pole; move along its eigenvector
-    # to reach the boundary.
-    hard = indefinite & (slack > 0)
-    hard[hard] = (
-        np.linalg.norm(np.where(pole[hard], gq[hard], 0.0), axis=1)
-        <= tiny[hard] * np.sqrt(slack[hard])
-    )
-    p[hard, 0] = -np.copysign(np.sqrt(slack[hard]), gq[hard, 0])
-    rows = np.flatnonzero(boundary & ~hard)
-    if rows.size:
-        # Start at a shift no larger than the root, where one component alone
-        # reaches the radius: 1/|p(s)| is concave in s, so Newton steps from
-        # there rise monotonically to the root.
-        g, r = gq[rows], radius[rows]
-        g2 = g * g
-        # an infinite eigenvalue zeroes the terms of components without gradient
-        l = np.where(g != 0.0, lam[rows], np.inf)
-        s = np.maximum(lo[rows], (np.sqrt(g2) / r[:, None] - l).max(axis=1))
-        # Each row's shift stops where its own norm reaches the radius.  A
-        # radius so small that radius * slope underflows gives an infinite
-        # shift and so a zero step, for which the model predicts no decrease.
-        for _ in range(50):
-            inv = 1.0 / (l + s[:, None])
-            terms = g2 * inv * inv
-            norm2 = terms.sum(axis=1)
-            norm = np.sqrt(norm2)
-            more = ~(norm - r <= 1e-9 * r)
-            if not more.any():
-                break
-            slope = (terms * inv).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                s = s + np.divide(norm2 * (norm - r), r * slope, out=np.zeros_like(s),
-                                  where=more)
-        p[rows] = np.divide(-g, lam[rows] + s[:, None], out=np.zeros_like(g), where=g != 0.0)
-    return p, boundary
+    lam0, r = lam[:, :1], radius[:, None]
+    # |gq| / r may overflow at a collapsed radius, to a zero step; a component
+    # without gradient takes no step, so a flat row has no 0 / 0.
+    with np.errstate(over="ignore"):
+        reach = np.linalg.norm(gq / np.where(lam0 > 0, lam, 1.0), axis=1, keepdims=True)
+        fits = (lam0 > 0) & (reach <= r)
+        s = np.maximum(-lam0 * (1.0 + 1e-12), np.linalg.norm(gq, axis=1, keepdims=True) / r - lam0)
+        p = np.divide(-gq, lam + np.where(fits, 0.0, s), out=np.zeros_like(gq), where=gq != 0.0)
+    down = lam[:, 0] < 0
+    left = radius[down] ** 2 - (p[down, 1:] ** 2).sum(axis=1)
+    p[down, 0] = -np.copysign(np.sqrt(np.maximum(left, 0.0)), gq[down, 0])
+    return p, ~fits[:, 0]
 
 
 def _trust_newton(fun, x0):
-    """Trust-region Newton minimisation from a batch of starts, with exact
-    subproblem solves.
+    """Trust-region Newton minimisation from a batch of starts, with
+    closed-form steps.
 
     ``x0`` holds one start per row.  ``fun`` maps an (S, k) batch of points
     to their values (S,), gradients (S, k) and Hessians (S, k, k).  All
     starts advance together: each iteration takes one batched ``eigh`` of
-    the active starts' Hessians, solves their trust-region subproblems
+    the active starts' Hessians, takes their trust-region steps
     (``_trust_step``) and evaluates every trial point in one ``fun`` call.
     A trial point's value, gradient and Hessian replace the start's only
     where its step is taken, so a Hessian evaluated at a rejected point,
@@ -206,11 +172,10 @@ def _trust_newton(fun, x0):
     would alone, as the likelihood fit's objective does, a start's result
     is the one it gets alone.
 
-    Per start, each iteration takes the exact minimiser of the local
-    quadratic model within the trust radius.  The radius follows scipy's
-    trust-region rule: it starts at 1, shrinks by 4 when the actual
-    reduction is under a quarter of the predicted one, and doubles, up to
-    1000, when it is over three quarters with the step on the boundary.
+    The radius follows scipy's trust-region rule: it starts at 1, shrinks
+    by 4 when the actual reduction is under a quarter of the predicted one,
+    and doubles, up to 1000, when it is over three quarters with a step
+    other than the Newton step.
     The step is taken when that ratio exceeds 0.15; a non-finite value at
     the trial point rejects it.  When the Hessian is positive definite and
     the Newton decrement ``grad @ H^-1 @ grad / 2`` is under 1e-8, the full
@@ -236,11 +201,10 @@ def _trust_newton(fun, x0):
     while active.size:
         lam, vec = np.linalg.eigh(h[active])
         gq = np.matmul(g[active, None, :], vec)[:, 0]
+        p, on_boundary = _trust_step(gq, lam, radius[active])
         newton = gq / np.where(lam[:, :1] > 0, lam, 1.0)
         final = (lam[:, 0] > 0) & ((gq * newton).sum(axis=1) < 2e-8)
-        p, on_boundary = -newton, np.zeros(active.size, dtype=bool)
-        rest = ~final
-        p[rest], on_boundary[rest] = _trust_step(gq[rest], lam[rest], radius[active[rest]])
+        p[final] = -newton[final]
         predicted = -((gq * p).sum(axis=1) + 0.5 * (lam * p * p).sum(axis=1))
         at_floor = ~final & (predicted < 4.0 * np.spacing(np.abs(f[active])))
         tried = final | (predicted > 0)
@@ -470,7 +434,7 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     The starts advance together as one batch of trust-region Newton fits
     (``_trust_newton``) on the exact Hessian: with n*d free weights, at
     most a dozen on the bundled topologies, the Hessian costs about one
-    more batched matmul than the gradient, and a start converges in 10-20
+    more batched matmul than the gradient, and most starts converge in 10-30
     steps.  Each iteration makes one objective call at the active starts'
     trial points, which returns their values, gradients and Hessians from
     the same products; the optimizer keeps a trial point's Hessian only
@@ -508,7 +472,8 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
     builds its MGF ``mgf(t)``, ``mgfest.empirical_mgf`` of its samples or
     the product of its links' MGFs: no later stage knows which.  Takes the
     probe points ``opts.tau[i]``, or else ``default_tau(i, links)``, and the
-    right-hand side ``rhs(tau, n_i, mgf)``.
+    right-hand side ``rhs(tau, n_i, mgf)``; a ``tau`` key that names no
+    path raises ``ValueError``.
     ``polysolve.solve_system`` finds all roots of the path's system over the
     rates ``lambdas``; those whose imaginary parts stay below
     ``_NEAR_REAL_TOL_EXACT``, or ``_NEAR_REAL_TOL_SAMPLED`` on samples, count
@@ -524,6 +489,9 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
         _check_samples(a, samples)
     elif len(exact) != a.n_links:
         raise ValueError(f"{exact_name} lists {len(exact)} values for {a.n_links} links")
+    unknown = [i for i in opts.tau or () if i not in range(a.n_paths)]
+    if unknown:
+        raise ValueError(f"tau names path(s) {unknown} outside 0..{a.n_paths - 1}")
     d = len(lambdas) - 1
     near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact is None else _NEAR_REAL_TOL_EXACT
     solutions = {}
@@ -538,10 +506,7 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
             def mgf(t, _values=tuple(exact[j] for j in links)):
                 return math.prod(link_mgf(v, t) for v in _values)
 
-        if opts.tau is not None and i in opts.tau:
-            tau = tuple(opts.tau[i])
-        else:
-            tau = default_tau(i, links)
+        tau = tuple(opts.tau[i]) if i in (opts.tau or ()) else default_tau(i, links)
         sol = polysolve.solve_system(rhs(tau, n_i, mgf), n_i, lambdas)
         roots = tuple(tuple(r.reshape(n_i, d)) for r in sol.real_roots(near_real_tol))
         solutions[i] = match.PathSolutions(i, links, roots)

@@ -84,6 +84,12 @@ class TestCheck:
         assert cli.main(["check", "--topology", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_fractional_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({"matrix": [[1, 0.7, 0], [1, 0, 1]]}))
+        assert cli.main(["check", "--topology", str(path)]) == 2
+        assert "entries must be 0 or 1" in capsys.readouterr().err
+
     def test_missing_matrix_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nomatrix.json"
         path.write_text(json.dumps({"rates": [1.0]}))
@@ -137,6 +143,35 @@ class TestSimulate:
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+_SECOND_LINK_ROW_NOT_A_LIST = [[0.17, 0.80, 0.03], 5, [0.80, 0.15, 0.05]]
+
+
+@pytest.mark.parametrize("command, topology, message", [
+    ("check", 5, "must hold an object, not 5"),
+    ("simulate", {**EXPT1_TOPOLOGY, "rates": 7}, "'rates' must be a list of numbers, got 7"),
+    ("estimate", {**EXPT1_TOPOLOGY, "rates": 7}, "'rates' must be a list of numbers, got 7"),
+    ("simulate", {**EXPT1_TOPOLOGY, "links": 5}, "'links' must list 3 weight vectors"),
+    ("simulate", {**EXPT1_TOPOLOGY, "links": _SECOND_LINK_ROW_NOT_A_LIST},
+     "'links' row 1 must be a list of numbers, got 5"),
+    ("simulate-exp", {**EXPT1_TOPOLOGY, "means": None},
+     "'means' must be a list of numbers, got null"),
+], ids=["not_an_object", "rates_int", "estimate_rates_int", "links_int", "links_row_int",
+        "means_null"])
+def test_malformed_topology_field_exits_2(tmp_path, capsys, command, topology, message):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps(topology))
+    argv = {
+        "check": ["check", "--topology", str(topo)],
+        "simulate": ["simulate", "--topology", str(topo), "--L", "10",
+                     "--out", str(tmp_path / "s.csv")],
+        "simulate-exp": ["simulate", "--topology", str(topo), "--model", "exp", "--L", "10",
+                         "--out", str(tmp_path / "s.csv")],
+        "estimate": ["estimate", "--topology", str(topo), "--exact-mgf"],
+    }[command]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestEstimate:

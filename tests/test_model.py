@@ -195,6 +195,18 @@ class TestRoutingMatrix:
         with pytest.raises(ValueError, match="0 or 1"):
             RoutingMatrix(((1, 2),))
 
+    @pytest.mark.parametrize("entries", [((1, 0.7),), ((1.9, 1),), ((1, 0), (1, -0.2))])
+    def test_rejects_fractional_entries(self, entries):
+        with pytest.raises(ValueError, match="0 or 1"):
+            RoutingMatrix(entries)
+        with pytest.raises(ValueError, match="0 or 1"):
+            RoutingMatrix.from_array(entries)
+
+    def test_whole_floats_become_ints(self):
+        a = RoutingMatrix.from_array([[1.0, 0.0], [True, 1]])
+        assert a.entries == ((1, 0), (1, 1))
+        assert all(type(v) is int for row in a.entries for v in row)
+
     def test_rejects_empty_path(self):
         with pytest.raises(ValueError, match="all-zero row"):
             RoutingMatrix(((1, 0), (0, 0)))

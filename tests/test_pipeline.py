@@ -218,6 +218,68 @@ class TestLikelihoodStartsAndEdges:
         assert np.array_equal(pipeline._quantile_edges(y, 1000), expected)
 
 
+class TestTrustStep:
+    """``_trust_step`` on seeded random batches of subproblems."""
+
+    KINDS = ("definite", "indefinite", "repeated", "singular", "flat")
+
+    @classmethod
+    def _batch(cls, seed, rows=240, k=4):
+        """Subproblems of every kind in ``KINDS``, a third of them without
+        gradient, at radii of 1e-82, 1e3 and in between.  A few rows have a
+        gradient so small that ``|gq| / radius`` is below the rounding of
+        ``lam``, and a few at the radius 1e-82 one so large that it
+        overflows."""
+        rng = np.random.default_rng(seed)
+        kind = rng.integers(len(cls.KINDS), size=rows)
+        lam = np.sort(np.abs(rng.normal(size=(rows, k))), axis=1)
+        lam *= 10.0 ** rng.uniform(-2, 3, size=(rows, 1))
+        lam[kind == 1, 0] *= -1.0
+        lam[kind == 2, :2] = -lam[kind == 2, 1:2]
+        lam[kind == 3, 0] = 0.0
+        lam[kind == 4] = 0.0
+        gq = rng.normal(size=(rows, k)) * 10.0 ** rng.uniform(-2, 2, size=(rows, 1))
+        gq[rng.random(rows) < 1 / 3] = 0.0
+        gq[rng.random((rows, k)) < 0.1] = 0.0
+        radius = 10.0 ** rng.uniform(-4, 2, size=rows)
+        radius[rng.random(rows) < 0.2] = 1e-82
+        radius[rng.random(rows) < 0.2] = 1e3
+        gq[rng.random(rows) < 0.05] *= 1e-20
+        huge = (rng.random(rows) < 0.05) & (gq != 0).any(axis=1)
+        gq[huge] *= 1e250
+        radius[huge] = 1e-82
+        return kind, gq, lam, radius
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_properties(self, seed):
+        kind, gq, lam, radius = self._batch(seed)
+        definite = kind == 0
+        with np.errstate(all="raise"):
+            p, not_newton = pipeline._trust_step(gq, lam, radius)
+            assert np.all(np.linalg.norm(p, axis=1) <= radius * (1 + 1e-12))
+            newton = -gq[definite] / lam[definite]
+            fits = np.zeros(len(kind), dtype=bool)
+            fits[definite] = np.hypot.reduce(newton, axis=1) <= radius[definite]
+            assert np.array_equal(not_newton, ~fits)
+            assert np.array_equal(p[fits], newton[fits[definite]])
+            down = lam[:, 0] < 0
+            np.testing.assert_allclose(np.linalg.norm(p[down], axis=1), radius[down],
+                                       rtol=1e-12)
+            decrease = -((gq * p).sum(axis=1) + 0.5 * (lam * p * p).sum(axis=1))
+            assert np.all(decrease >= 0.0)
+            for i in range(len(kind)):
+                alone = pipeline._trust_step(gq[i:i + 1], lam[i:i + 1], radius[i:i + 1])
+                assert np.array_equal(alone[0][0], p[i]) and alone[1][0] == not_newton[i]
+        # every kind of row is there, with and without gradient, and so are
+        # Newton steps that fit and that do not, and overflowing shifts
+        zero = ~gq.any(axis=1)
+        assert set(zip(kind.tolist(), zero.tolist())) == {
+            (c, z) for c in range(len(self.KINDS)) for z in (False, True)
+        }
+        assert fits.any() and (definite & ~fits).any()
+        assert (np.abs(gq) > 1e200).any() and (np.abs(gq[gq != 0]) < 1e-18).any()
+
+
 class TestTrustNewton:
     """``_trust_newton`` on small known functions, one start per row."""
 
@@ -327,16 +389,6 @@ class TestTrustNewton:
         assert not fit.success.any()
         assert list(fit.nit) == [0, 0] and list(fit.nfev) == [1, 1] and len(points) == 2
         assert fit.message == ["the quadratic model predicts no decrease"] * 2
-
-    def test_underflowing_radius_gives_a_zero_step(self):
-        # a start whose steps were rejected until its radius collapsed: in
-        # the secular equation's Newton step, radius * slope underflows to 0
-        lam = np.array([[539.7, 7996.6, 68130.0, 80899.0, 2.283e6, 1.031e7]])
-        gq = np.array([[0.0011, 0.0116, -0.0194, -0.0002, 0.0154, -0.019]])
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            p, on_boundary = pipeline._trust_step(gq, lam, np.array([1.3e-82]))
-        assert on_boundary[0]
-        assert np.all(p == 0.0)
 
     def test_stops_at_the_rounding_floor(self):
         # A quadratic offset by 1.4e7, about the size of a sampled fit's
@@ -737,3 +789,20 @@ class TestDeltaOption:
     def test_non_finite_or_non_positive_delta_raises(self, delta):
         with pytest.raises(ValueError, match="delta"):
             pipeline.EstimateOptions(delta=delta)
+
+
+class TestTauKeys:
+    """A ``tau`` key that names no path raises instead of being ignored."""
+
+    @pytest.mark.parametrize("keys, unknown", [((7,), "[7]"), ((0, -1, 2), "[-1, 2]")])
+    def test_algebraic_gh_rejects(self, keys, unknown):
+        mixes = [GhMix(RATES, w) for w in WEIGHTS]
+        opts = pipeline.EstimateOptions(tau={k: (0.5, 1.0, 1.5, 2.0) for k in keys})
+        message = f"tau names path(s) {unknown} outside 0..1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.algebraic_gh(EXPT1, RATES, exact_mixes=mixes, options=opts)
+
+    def test_estimate_exp_rejects(self):
+        opts = pipeline.EstimateOptions(tau={0: (0.2, 0.4), 7: (0.2, 0.4)})
+        with pytest.raises(ValueError, match=re.escape("tau names path(s) [7] outside 0..1")):
+            pipeline.estimate_exp(EXPT1, exact_means=[1.0, 2.0, 3.0], options=opts)
