@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import RoutingMatrix
 
-__all__ = ["MatchResult", "PathSolutions", "AmbiguityError", "run_matching"]
+__all__ = ["MatchResult", "AmbiguityError", "check_delta", "run_matching"]
 
 # Two combinations whose costs agree within this rounding tie; tied ones
 # whose link estimates differ by more than _SAME_TOL are ambiguous.
@@ -31,20 +31,6 @@ _MAX_COMBINATIONS = 10**6
 
 class AmbiguityError(RuntimeError):
     """No root, no unique best combination of roots, or too many to search."""
-
-
-@dataclass(frozen=True)
-class PathSolutions:
-    """Solver output of one path, reduced to real roots.
-
-    ``root_blocks`` lists every (near-)real root as its sequence of
-    per-link-slot blocks, in the order of ``links`` (the sorted link
-    indices of the path).
-    """
-
-    path_id: int
-    links: tuple[int, ...]
-    root_blocks: tuple[tuple[np.ndarray, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -62,14 +48,18 @@ class MatchResult:
     error_norm: float | None = None
 
 
-def run_matching(
-    a: RoutingMatrix,
-    path_solutions: dict[int, PathSolutions],
-    d: int,
-    delta: float | None = None,
-) -> MatchResult:
+def check_delta(delta: float | None) -> None:
+    """Raise ``ValueError`` unless ``delta`` is None or finite and > 0."""
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+
+
+def run_matching(a: RoutingMatrix, roots, delta: float | None = None) -> MatchResult:
     """Pick one root per path so that shared links' blocks disagree least.
 
+    ``roots[i]`` is path i's real roots, an (R_i, N_i, d) array (or nested
+    sequences) of blocks in increasing link order.  Another length or shape,
+    or a ``delta`` that is not finite and > 0, raises ``ValueError``.
     The search is exhaustive over the product of the paths' root lists: on
     the bundled experiments that is at most 6**3 = 216 combinations.  It
     runs as array operations over all combinations at once: each link's
@@ -83,31 +73,32 @@ def run_matching(
     ``delta`` from its link's estimate.  ``MatchResult.delta`` is the given
     ``delta`` or, when none is given, the largest block-to-estimate distance.
     """
-    pids = sorted(path_solutions)
-    for pid in pids:
-        if not path_solutions[pid].root_blocks:
-            raise AmbiguityError(f"path {pid} has no real root")
-    counts = [len(path_solutions[pid].root_blocks) for pid in pids]
+    check_delta(delta)
+    if len(roots) != a.n_paths:
+        raise ValueError(f"got roots of {len(roots)} paths; the routing matrix has {a.n_paths}")
+    links = [sorted(a.path_links(i)) for i in range(a.n_paths)]
+    roots = [np.asarray(r, dtype=float) for r in roots]
+    for i, r in enumerate(roots):
+        if not len(r):
+            raise AmbiguityError(f"path {i} has no real root")
+        if r.shape[1:] != (len(links[i]), roots[0].shape[-1]):
+            raise ValueError(f"path {i}'s roots have shape {r.shape}, not (R, N_i, d)")
+    counts = [len(r) for r in roots]
     n_combos = math.prod(counts)
     if n_combos > _MAX_COMBINATIONS:
-        per_path = ", ".join(f"path {pid}: {n}" for pid, n in zip(pids, counts))
+        per_path = ", ".join(f"path {i}: {n}" for i, n in enumerate(counts))
         raise AmbiguityError(
             f"{n_combos} root combinations ({per_path}) exceed the "
             f"{_MAX_COMBINATIONS} the exhaustive search allows"
         )
-    # (position in pids, slot in that path's root) of every block of a link
+    # (path, slot in that path's root) of every block of a link
     slots = [
-        [
-            (k, path_solutions[pid].links.index(j))
-            for k, pid in enumerate(pids)
-            if j in path_solutions[pid].links
-        ]
+        [(i, path.index(j)) for i, path in enumerate(links) if j in path]
         for j in range(a.n_links)
     ]
-    roots = [np.array(path_solutions[pid].root_blocks) for pid in pids]  # (roots, N_i, d)
     # every combination of one root per path, in ``itertools.product`` order:
-    # combos[k] holds path k's root index in each
-    combos = np.indices(counts).reshape(len(pids), -1)
+    # combos[i] holds path i's root index in each
+    combos = np.indices(counts).reshape(len(roots), -1)
     # per link, its blocks under every combination: (combinations, blocks, d)
     stacks = [
         np.stack([roots[k][combos[k], s] for k, s in link_slots], axis=1)
@@ -136,7 +127,7 @@ def run_matching(
     provenance = tuple(
         {
             "link": j,
-            "paths": [pids[k] for k, _ in slots[j]],
+            "paths": [i for i, _ in slots[j]],
             "blocks": blocks[j].tolist(),
         }
         for j in range(a.n_links)

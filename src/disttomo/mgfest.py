@@ -12,6 +12,7 @@ probe point, and a union bound extends it across the probe set.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -32,11 +33,15 @@ class TauSelectionError(RuntimeError):
 
 
 def empirical_mgf(samples, t: float) -> float:
-    """Sample average of exp(-t * Y) over the observed delays."""
+    """Sample average of exp(-t * Y) over the observed delays, which must
+    be finite and nonnegative, or ``ValueError``."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("need at least one sample")
-    if samples.min() < 0:
+    lo, hi = samples.min(), samples.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("delay samples must be finite")
+    if lo < 0:
         raise ValueError("delay samples must be nonnegative")
     if not 0 < t < math.inf:
         raise ValueError(f"t must be finite and strictly positive, got {t}")
@@ -96,14 +101,14 @@ def required_samples(eps: float, kappa: float, points: int = 1) -> int:
     """Smallest L with points * exp(-2 * eps^2 * L) <= kappa.
 
     Per-point Hoeffding bound exp(-2 eps^2 L) on the MGF estimate error,
-    union-bounded over the probe points.
+    union-bounded over the probe points, an integer >= 1.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
+    if not isinstance(points, numbers.Integral) or points < 1:
+        raise ValueError(f"points must be an integer >= 1, got {points}")
     raw = math.log(points / kappa) / (2.0 * eps * eps)
     return max(1, math.ceil(raw))
 

@@ -110,8 +110,9 @@ class GhMix:
 
 
 def gh_mgf(mix: GhMix, t: float) -> float:
-    """MGF E[exp(-t X)] of the mixture, valid for t >= 0; lies in (0, 1]."""
-    if t < 0:
+    """MGF E[exp(-t X)] of the mixture, valid for t >= 0; lies in (0, 1].
+    A negative or NaN ``t`` raises ``ValueError``."""
+    if not t >= 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     rates = np.asarray(mix.rates)
     weights = np.asarray(mix.weights)
@@ -119,8 +120,9 @@ def gh_mgf(mix: GhMix, t: float) -> float:
 
 
 def gh_cdf(mix: GhMix, u: float) -> float:
-    """CDF of the mixture at u >= 0."""
-    if u < 0:
+    """CDF of the mixture at u >= 0; a negative or NaN ``u`` raises
+    ``ValueError``."""
+    if not u >= 0:
         raise ValueError(f"u must be nonnegative, got {u}")
     rates = np.asarray(mix.rates)
     weights = np.asarray(mix.weights)
@@ -128,8 +130,9 @@ def gh_cdf(mix: GhMix, u: float) -> float:
 
 
 def gh_pdf(mix: GhMix, u: float) -> float:
-    """Density of the mixture at u >= 0."""
-    if u < 0:
+    """Density of the mixture at u >= 0; a negative or NaN ``u`` raises
+    ``ValueError``."""
+    if not u >= 0:
         raise ValueError(f"u must be nonnegative, got {u}")
     rates = np.asarray(mix.rates)
     weights = np.asarray(mix.weights)
@@ -193,13 +196,18 @@ def hypoexp_cdf(rates, y) -> np.ndarray:
     P(k, r_i y) = 1 - e^{-r_i y} sum_{j<k} (r_i y)^j/j!, all orders k of one
     rate computed together (``_erlang_cdfs``).  Derivatives at each pole are
     obtained from the logarithmic-derivative recursion, which stays exact
-    for any multiplicity pattern.
+    for any multiplicity pattern.  A negative or NaN ``y`` raises
+    ``ValueError``; the CDF at +inf is 1.
     """
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
     rates = [float(r) for r in rates]
     if not rates or not all(0.0 < r < math.inf for r in rates):
         raise ValueError(f"rates must be nonempty, finite and strictly positive, got {rates}")
+    if not (flat >= 0).all():
+        raise ValueError(f"y must be nonnegative, got {flat[~(flat >= 0)][0]}")
+    top = flat == math.inf
+    flat = np.where(top, 0.0, flat)  # the CDF at +inf, 1, is set below
     mult = Counter(rates)
     distinct = sorted(mult)
     log_c = sum(m * math.log(r) for r, m in mult.items())
@@ -227,6 +235,7 @@ def hypoexp_cdf(rates, y) -> np.ndarray:
             )
         coeffs = [h[m_i - k] / math.factorial(m_i - k) / r_i ** k for k in range(1, m_i + 1)]
         out += np.asarray(coeffs) @ _erlang_cdfs(m_i, r_i * flat)
+    out[top] = 1.0
     return out.reshape(y.shape)
 
 

@@ -50,8 +50,7 @@ class EstimateOptions:
     delta: float | None = None  # bound on cross-path disagreement; None -> unbounded
 
     def __post_init__(self):
-        if self.delta is not None and not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
+        match.check_delta(self.delta)
 
 
 @dataclass(frozen=True)
@@ -477,8 +476,8 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
     ``polysolve.solve_system`` finds all roots of the path's system over the
     rates ``lambdas``; those whose imaginary parts stay below
     ``_NEAR_REAL_TOL_EXACT``, or ``_NEAR_REAL_TOL_SAMPLED`` on samples, count
-    as real.  ``match.run_matching`` picks one real root per path, with
-    ``opts.delta``.  Returns (MatchResult, one ``PathDiagnostics`` per path).
+    as real.  ``match.run_matching`` picks one per path from these (R_i, N_i, d)
+    arrays, with ``opts.delta``.  Returns (MatchResult, one ``PathDiagnostics`` per path).
     """
     if samples is None and exact is None:
         raise ValueError(f"need either samples or {exact_name}")
@@ -492,9 +491,8 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
     unknown = [i for i in opts.tau or () if i not in range(a.n_paths)]
     if unknown:
         raise ValueError(f"tau names path(s) {unknown} outside 0..{a.n_paths - 1}")
-    d = len(lambdas) - 1
     near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact is None else _NEAR_REAL_TOL_EXACT
-    solutions = {}
+    roots = []
     diagnostics: list[PathDiagnostics] = []
     for i in range(a.n_paths):
         links = tuple(sorted(a.path_links(i)))
@@ -508,10 +506,9 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
 
         tau = tuple(opts.tau[i]) if i in (opts.tau or ()) else default_tau(i, links)
         sol = polysolve.solve_system(rhs(tau, n_i, mgf), n_i, lambdas)
-        roots = tuple(tuple(r.reshape(n_i, d)) for r in sol.real_roots(near_real_tol))
-        solutions[i] = match.PathSolutions(i, links, roots)
+        roots.append(sol.real_roots(near_real_tol).reshape(-1, n_i, len(lambdas) - 1))
         diagnostics.append(PathDiagnostics(i, tau, sol.n_roots))
-    return match.run_matching(a, solutions, d, delta=opts.delta), diagnostics
+    return match.run_matching(a, roots, delta=opts.delta), diagnostics
 
 
 def algebraic_gh(
@@ -578,8 +575,8 @@ def estimate_gh(
 ):
     """Estimate every link's weight vector over the shared rates ``lambdas``.
 
-    With ``exact_mixes`` this is ``algebraic_gh``, which also refuses
-    ``samples`` beside them.  On ``samples`` alone it is
+    Without ``samples``, or with ``exact_mixes``, this is ``algebraic_gh``,
+    which checks the rates and the input sources.  On ``samples`` alone it is
     the binned likelihood fit from the uniform weights and random restarts,
     which takes no ``tau`` or ``delta``, reports no per-path diagnostics and
     a ``delta`` of None.  ``ground_truth``, when given, must have the
@@ -587,14 +584,12 @@ def estimate_gh(
     (MatchResult, diagnostics).  Its rates are checked as ``algebraic_gh``'s
     are, before any work.
     """
-    model.check_rates(lambdas, 2)
-    if exact_mixes is not None:
+    if samples is None or exact_mixes is not None:
         return algebraic_gh(
             a, lambdas, samples=samples, exact_mixes=exact_mixes, options=options,
             ground_truth=ground_truth,
         )
-    if samples is None:
-        raise ValueError("need either samples or exact_mixes")
+    model.check_rates(lambdas, 2)
     opts = options or EstimateOptions()
     if opts.tau is not None or opts.delta is not None:
         raise ValueError(

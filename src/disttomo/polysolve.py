@@ -39,13 +39,14 @@ _DEDUP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Deduplicated roots of one system.
+    """Deduplicated roots of one system, one per row of ``roots`` (R, N*d):
+    the links' blocks of d weights, in increasing link order.
 
     ``n_paths`` counts the candidate splits of Q's roots.  Every candidate is
     a root, so ``n_path_failures`` is 0 by construction.
     """
 
-    roots: tuple[np.ndarray, ...]
+    roots: np.ndarray
     n_path_failures: int
     n_paths: int
 
@@ -53,12 +54,12 @@ class SolutionSet:
     def n_roots(self) -> int:
         return len(self.roots)
 
-    def real_roots(self, tol: float) -> list[np.ndarray]:
-        """Roots whose imaginary parts are below ``tol``, projected to real."""
-        return [r.real.copy() for r in self.roots if np.abs(r.imag).max() < tol]
+    def real_roots(self, tol: float) -> np.ndarray:
+        """The roots whose imaginary parts are below ``tol``, as an (R, N*d) real array."""
+        return self.roots[np.abs(self.roots.imag).max(axis=1) < tol].real
 
 
-def _dedup(points: list[np.ndarray], tol: float) -> list[int]:
+def _dedup(points, tol: float) -> list[int]:
     """Indices of the points left after merging near-coincident ones; the
     order is made deterministic by sorting."""
     order = sorted(
@@ -83,11 +84,11 @@ def _splits(items: tuple[int, ...], d: int):
             yield (group,) + tail
 
 
-def _candidates(u: np.ndarray, n: int, lambdas) -> list[np.ndarray]:
-    """One weight vector per ordered split of Q's roots into link factors."""
+def _candidates(u: np.ndarray, n: int, lambdas) -> np.ndarray:
+    """One weight vector per ordered split of Q's roots into link factors, per row."""
     d = len(lambdas) - 1
     if n == 1:
-        return [u.copy()]  # h_k1 = x_1k: the system is x = u
+        return u[None].copy()  # h_k1 = x_1k: the system is x = u
     # w_1 = s; the relation 1 = b_1r w_r + b_r1 w_1 gives every other w_r.
     b = stage_relations(lambdas)
     w = [Polynomial([0.0, 1.0])] + [
@@ -107,10 +108,8 @@ def _candidates(u: np.ndarray, n: int, lambdas) -> list[np.ndarray]:
     # x_jk = F_j(sigma_k) / prod_{k' != k} w_k'(sigma_k), with
     # F_j(s) = lead * prod over the group's roots rho of (s - rho).
     diffs = sigma[None, :] - roots[:, None]
-    return [
-        np.concatenate([lead * diffs[list(g)].prod(axis=0) / denom for g in split])
-        for split in _splits(tuple(range(n * d)), d)
-    ]
+    splits = np.array(list(_splits(tuple(range(n * d)), d)))  # (K, N, d) root indices
+    return (lead * diffs[splits].prod(axis=2) / denom).reshape(len(splits), -1)
 
 
 def solve_system(rhs, n_i: int, lambdas) -> SolutionSet:
@@ -131,7 +130,7 @@ def solve_system(rhs, n_i: int, lambdas) -> SolutionSet:
         )
     candidates = _candidates(u, n_i, lambdas)
     return SolutionSet(
-        roots=tuple(candidates[k] for k in _dedup(candidates, _DEDUP_TOL)),
+        roots=candidates[_dedup(candidates, _DEDUP_TOL)],
         n_path_failures=0,
         n_paths=len(candidates),
     )

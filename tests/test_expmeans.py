@@ -6,7 +6,7 @@ import pytest
 
 from disttomo import expmeans, pipeline
 from disttomo.expmeans import build_mean_system
-from disttomo.match import AmbiguityError, PathSolutions, run_matching
+from disttomo.match import AmbiguityError, run_matching
 from disttomo.mgfest import empirical_mgf
 from disttomo.model import GhMix, RoutingMatrix
 from disttomo.polysolve import solve_system
@@ -41,12 +41,12 @@ def _real_roots(esp, n_i):
 def _matched_means(a, path_means):
     """Each link's mean matched from exact per-path means as ``estimate_exp``
     matches them: the d = 1 roots of every path, then ``run_matching``."""
-    solutions = {}
+    solutions = []
     for i, means in path_means.items():
         links = tuple(sorted(a.path_links(i)))
         roots = _real_roots(_esp(means), len(links))
-        solutions[i] = PathSolutions(i, links, tuple(tuple(r.reshape(-1, 1)) for r in roots))
-    return run_matching(a, solutions, d=1).weights[:, 0]
+        solutions.append(roots.reshape(-1, len(links), 1))
+    return run_matching(a, solutions).weights[:, 0]
 
 
 def _vieta_permutation_means(a, samples, taus, delta=None):
@@ -57,7 +57,7 @@ def _vieta_permutation_means(a, samples, taus, delta=None):
     candidate root for ``run_matching``: the d = 1 system's roots are
     exactly those orderings.
     """
-    solutions = {}
+    solutions = []
     for i, tau in taus.items():
         links = tuple(sorted(a.path_links(i)))
         esp = build_mean_system(tau, len(links), lambda t, y=samples[i]: empirical_mgf(y, t))
@@ -66,8 +66,8 @@ def _vieta_permutation_means(a, samples, taus, delta=None):
         roots = tuple(
             tuple(np.array([m]) for m in perm) for perm in sorted(set(permutations(means)))
         )
-        solutions[i] = PathSolutions(i, links, roots)
-    return run_matching(a, solutions, d=1, delta=delta).weights[:, 0]
+        solutions.append(roots)
+    return run_matching(a, solutions, delta=delta).weights[:, 0]
 
 
 class TestBuildMeanSystem:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from disttomo import pipeline
-from disttomo.match import AmbiguityError, PathSolutions, run_matching
+from disttomo.match import AmbiguityError, MatchResult, run_matching
 from disttomo.model import GhMix, RoutingMatrix, is_one_identifiable
 
 EXPT1 = RoutingMatrix(((1, 1, 0), (1, 0, 1)))
@@ -24,23 +24,19 @@ class TestRunMatching:
         def sols(pid, links):
             a, b = (w[links[0]], w[links[1]])
             s = spurious[pid]
-            return PathSolutions(
-                path_id=pid,
-                links=links,
-                root_blocks=((a, b), (b, a), (s, s)),
-            )
+            return np.array(((a, b), (b, a), (s, s)))
 
-        return {0: sols(0, (0, 1)), 1: sols(1, (0, 2))}
+        return [sols(0, (0, 1)), sols(1, (0, 2))]
 
     def test_exact_assignment(self):
-        result = run_matching(EXPT1, self.build_solutions(), d=2)
+        result = run_matching(EXPT1, self.build_solutions())
         expected = np.array(
             [[0.17, 0.80, 0.03], [0.13, 0.47, 0.40], [0.80, 0.15, 0.05]]
         )
         np.testing.assert_allclose(result.weights, expected, atol=1e-12)
 
     def test_provenance_never_uses_forbidden_paths(self):
-        result = run_matching(EXPT1, self.build_solutions(), d=2)
+        result = run_matching(EXPT1, self.build_solutions())
         sets = EXPT1.sets
         for j, entry in enumerate(result.provenance):
             assert not (
@@ -49,7 +45,7 @@ class TestRunMatching:
 
     def test_explicit_delta_respected(self):
         result = run_matching(
-            EXPT1, self.build_solutions(), d=2, delta=0.03
+            EXPT1, self.build_solutions(), delta=0.03
         )
         assert result.delta == pytest.approx(0.03)
 
@@ -59,60 +55,62 @@ class TestLeastDisagreement:
         # Both link orders of both paths agree perfectly: two combinations
         # cost 0 and swap the weights of every link.
         zero, one = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        roots = ((zero, one), (one, zero))
-        sols = {
-            0: PathSolutions(path_id=0, links=(0, 1), root_blocks=roots),
-            1: PathSolutions(path_id=1, links=(0, 2), root_blocks=roots),
-        }
+        roots = np.array(((zero, one), (one, zero)))
+        sols = [roots, roots]
         with pytest.raises(AmbiguityError, match="tie"):
-            run_matching(EXPT1, sols, d=2)
+            run_matching(EXPT1, sols)
 
     def noisy_solutions(self):
         # The shared link's blocks sit 0.04 apart, 0.02 from their mean.
-        return {
-            0: PathSolutions(
-                path_id=0,
-                links=(0, 1),
-                root_blocks=((np.array([0.17, 0.80]), np.array([0.13, 0.47])),),
-            ),
-            1: PathSolutions(
-                path_id=1,
-                links=(0, 2),
-                root_blocks=((np.array([0.21, 0.80]), np.array([0.80, 0.15])),),
-            ),
-        }
+        return [
+            np.array(((np.array([0.17, 0.80]), np.array([0.13, 0.47])),)),
+            np.array(((np.array([0.21, 0.80]), np.array([0.80, 0.15])),)),
+        ]
 
     def test_spread_reported_without_delta(self):
-        result = run_matching(EXPT1, self.noisy_solutions(), d=2)
+        result = run_matching(EXPT1, self.noisy_solutions())
         assert result.delta == pytest.approx(0.02)
         np.testing.assert_allclose(result.weights[0], [0.19, 0.80, 0.01])
         assert result.provenance[0]["blocks"] == [[0.17, 0.80], [0.21, 0.80]]
 
     def test_delta_below_spread_raises(self):
         with pytest.raises(AmbiguityError, match="delta"):
-            run_matching(EXPT1, self.noisy_solutions(), d=2, delta=0.01)
+            run_matching(EXPT1, self.noisy_solutions(), delta=0.01)
 
     def test_path_without_root_raises(self):
         sols = self.noisy_solutions()
-        sols[1] = PathSolutions(path_id=1, links=(0, 2), root_blocks=())
+        sols[1] = np.empty((0, 2, 2))
         with pytest.raises(AmbiguityError, match="path 1 has no real root"):
-            run_matching(EXPT1, sols, d=2)
+            run_matching(EXPT1, sols)
+
+    def test_wrong_number_of_paths_raises(self):
+        sols = self.noisy_solutions()
+        for roots in (sols[:1], sols + sols[:1]):
+            with pytest.raises(ValueError, match=f"roots of {len(roots)} paths.* has 2"):
+                run_matching(EXPT1, roots)
+
+    def test_wrong_block_shape_raises(self):
+        sols = self.noisy_solutions()
+        for bad in (sols[1][:, :1], sols[1][:, :, :1], sols[1][0]):
+            with pytest.raises(ValueError, match="path 1's roots have shape"):
+                run_matching(EXPT1, [sols[0], bad])
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_delta_not_finite_and_positive_raises(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            run_matching(EXPT1, self.noisy_solutions(), delta=delta)
 
     def test_too_many_combinations_raise(self):
         # two paths sharing one link, with 1001 x 1000 one-block roots
         shared = RoutingMatrix(((1,), (1,)))
-        sols = {
-            pid: PathSolutions(
-                path_id=pid,
-                links=(0,),
-                root_blocks=tuple((np.array([0.001 * k, 0.5]),) for k in range(n)),
-            )
-            for pid, n in ((0, 1001), (1, 1000))
-        }
+        sols = [
+            np.array(tuple((np.array([0.001 * k, 0.5]),) for k in range(n)))
+            for n in (1001, 1000)
+        ]
         with pytest.raises(
             AmbiguityError, match=r"1001000 root combinations \(path 0: 1001, path 1: 1000\)"
         ):
-            run_matching(shared, sols, d=2)
+            run_matching(shared, sols)
 
 
 class TestAgainstCombinationLoop:
@@ -122,12 +120,11 @@ class TestAgainstCombinationLoop:
 
     @staticmethod
     def _first_least(a, sols):
-        pids = sorted(sols)
+        links = [sorted(a.path_links(i)) for i in range(a.n_paths)]
         best_cost, best_blocks = np.inf, None
-        for combo in product(*(sols[p].root_blocks for p in pids)):
+        for combo in product(*sols):
             blocks = [
-                np.array([combo[k][sols[p].links.index(j)]
-                          for k, p in enumerate(pids) if j in sols[p].links])
+                np.array([combo[i][path.index(j)] for i, path in enumerate(links) if j in path])
                 for j in range(a.n_links)
             ]
             cost = sum(((b - b.mean(axis=0)) ** 2).sum() for b in blocks)
@@ -135,24 +132,33 @@ class TestAgainstCombinationLoop:
                 best_cost, best_blocks = cost, blocks
         return best_blocks
 
+    @staticmethod
+    def _random_roots(seed):
+        """Six roots of two blocks per path, as nested tuples."""
+        rng = np.random.default_rng(seed)
+        return [
+            tuple(tuple(rng.uniform(-1.0, 2.0, 2) for _ in range(2)) for _ in range(6))
+            for _ in range(3)
+        ]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_roots(self, seed):
-        rng = np.random.default_rng(seed)
-        sols = {
-            i: PathSolutions(
-                path_id=i,
-                links=tuple(sorted(self.EXPT3.path_links(i))),
-                root_blocks=tuple(
-                    tuple(rng.uniform(-1.0, 2.0, 2) for _ in range(2)) for _ in range(6)
-                ),
-            )
-            for i in range(3)
-        }
-        result = run_matching(self.EXPT3, sols, d=2)
+        sols = self._random_roots(seed)
+        result = run_matching(self.EXPT3, sols)
         blocks = self._first_least(self.EXPT3, sols)
         assert [p["blocks"] for p in result.provenance] == [b.tolist() for b in blocks]
         means = np.array([b.mean(axis=0) for b in blocks])
         np.testing.assert_allclose(result.weights[:, :2], means, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_arrays_and_nested_tuples_agree(self, seed):
+        sols = self._random_roots(seed)
+        from_tuples = run_matching(self.EXPT3, sols)
+        from_arrays = run_matching(self.EXPT3, [np.array(r) for r in sols])
+        assert isinstance(from_arrays, MatchResult)
+        assert from_arrays.weights.tobytes() == from_tuples.weights.tobytes()
+        assert from_arrays.provenance == from_tuples.provenance
+        assert from_arrays.delta == from_tuples.delta
 
 
 class TestIdealCaseProperty:

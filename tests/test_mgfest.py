@@ -43,6 +43,11 @@ class TestEmpiricalMgf:
             empirical_mgf(np.array([1.0]), 0.0)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="delay samples must be finite"):
+            empirical_mgf(np.array([1.0, bad]), 1.0)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_t(self, t):
         with pytest.raises(ValueError, match="finite and strictly positive"):
@@ -146,6 +151,14 @@ class TestRequiredSamples:
             required_samples(0.1, 1.5)
         with pytest.raises(ValueError):
             required_samples(0.1, 0.1, points=0)
+
+    @pytest.mark.parametrize("points", [2.5, 1.0, "3", None])
+    def test_rejects_points_that_are_not_integers(self, points):
+        with pytest.raises(ValueError, match="points must be an integer >= 1"):
+            required_samples(0.1, 0.05, points=points)
+
+    def test_numpy_integer_points(self):
+        assert required_samples(0.1, 0.05, points=np.int64(3)) == required_samples(0.1, 0.05, 3)
 
 
 class TestPerPointTolerance:

@@ -92,6 +92,18 @@ class TestGhEvaluation:
     def test_cdf_at_zero(self):
         assert gh_cdf(GhMix(TABLE1_RATES, TABLE1_WEIGHTS[0]), 0.0) == 0.0
 
+    @pytest.mark.parametrize("fn", [gh_mgf, gh_cdf, gh_pdf], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("arg", [math.nan, -0.1, -math.inf])
+    def test_negative_or_nan_argument_raises(self, fn, arg):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            fn(GhMix(TABLE1_RATES, TABLE1_WEIGHTS[0]), arg)
+
+    def test_at_infinity(self):
+        mix = GhMix(TABLE1_RATES, TABLE1_WEIGHTS[0])
+        assert gh_cdf(mix, math.inf) == pytest.approx(1.0, abs=1e-15)
+        assert gh_pdf(mix, math.inf) == 0.0
+        assert gh_mgf(mix, math.inf) == 0.0
+
     def test_cdf_single_stage_median(self):
         assert gh_cdf(GhMix((1.0,), (1.0,)), math.log(2)) == pytest.approx(0.5)
 
@@ -165,6 +177,17 @@ class TestHypoexpCdf:
         far = [float(hypoexp_cdf(rates, y)) for y in (10.0, 50.0, 1e3)]
         assert far == sorted(far)
         assert abs(far[-1] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("y", [[-1.0], math.nan, [0.5, math.nan], [[1.0], [-math.inf]]])
+    def test_rejects_negative_or_nan_y(self, y):
+        with pytest.raises(ValueError, match="y must be nonnegative"):
+            hypoexp_cdf((1.0, 2.0), y)
+
+    @pytest.mark.parametrize("rates", [(1.0, 2.0), (1.0, 1.0, 2.0), (1.5,) * 4])
+    def test_is_one_at_infinity(self, rates):
+        got = hypoexp_cdf(rates, [0.5, math.inf])
+        assert got[1] == 1.0
+        assert got[0] == hypoexp_cdf(rates, 0.5)
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):

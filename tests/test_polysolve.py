@@ -143,6 +143,21 @@ class TestSolveSystem:
         assert all(np.abs(residual(r, rhs, n_i)).max() < 1e-10 * scale for r in sol.roots)
 
 
+class TestRealRoots:
+    def test_real_rows_as_one_real_array(self):
+        sol = solve_system(PATH1, 2, RATES)
+        real = sol.real_roots(1e-6)
+        assert real.dtype == float and real.shape[1:] == (4,)
+        keep = [r.real for r in sol.roots if np.abs(r.imag).max() < 1e-6]
+        assert len(real) == len(keep) >= 2
+        np.testing.assert_array_equal(real, np.array(keep))
+
+    def test_no_real_root_gives_an_empty_array(self):
+        # one link: the system is x = u, here not real
+        real = solve_system(np.array([0.3 + 1j, 0.2]), 1, RATES).real_roots(1e-6)
+        assert real.dtype == float and real.shape == (0, 2)
+
+
 class TestReduceFirstComponents:
     def test_dedup_and_projection(self):
         roots = [
