@@ -163,13 +163,16 @@ def _read_csv(path: str, n_paths: int):
             ) from exc
     except OSError as exc:
         raise ValidationError(f"cannot read samples file {path}: {exc}") from exc
-    ids = set(np.unique(path_ids).astype(int).tolist())
-    missing = [i for i in range(n_paths) if i not in ids]
+    # range-check the whole float ids before any cast to int: 1e300 has no int64
+    ids = np.unique(path_ids)
+    known = (ids >= 0) & (ids < n_paths)
+    present = set(ids[known].astype(int).tolist())
+    missing = [i for i in range(n_paths) if i not in present]
     if missing:
         raise ValidationError(
             f"samples file {path} covers no samples for path(s) {missing}"
         )
-    unknown = sorted(ids - set(range(n_paths)))
+    unknown = [int(v) if abs(v) < 2**53 else v for v in ids[~known].tolist()]
     if unknown:
         raise ValidationError(
             f"samples file {path} has path id(s) {unknown} outside 0..{n_paths - 1}"

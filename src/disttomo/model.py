@@ -234,7 +234,11 @@ def hypoexp_cdf(rates, y) -> np.ndarray:
                 sum(math.comb(n - 1, k) * u[k] * h[n - 1 - k] for k in range(n))
             )
         coeffs = [h[m_i - k] / math.factorial(m_i - k) / r_i ** k for k in range(1, m_i + 1)]
-        out += np.asarray(coeffs) @ _erlang_cdfs(m_i, r_i * flat)
+        # An r_i y that overflows is capped at the largest float, where every
+        # P(k, r_i y) is 1; as inf it would make _erlang_cdfs compute 0 * inf.
+        with np.errstate(over="ignore"):
+            x = np.minimum(r_i * flat, np.finfo(float).max)
+        out += np.asarray(coeffs) @ _erlang_cdfs(m_i, x)
     out[top] = 1.0
     return out.reshape(y.shape)
 

@@ -1,14 +1,13 @@
 """End-to-end estimators.
 
-``algebraic_gh`` is the paper's method: each path is processed
-independently (probe selection, MGF at the probe points, right-hand side,
-all-roots solve) and the per-path real roots are then matched across
-paths to produce one estimate per link.  ``estimate_exp`` is the same
-chain at d = 1 with its own probe points and right-hand side, the
-elementary symmetric values of the path's link means.  ``_per_path`` runs
-the chain for both and hands each path to it as one MGF, a callable
-t -> MGF.  ``estimate_gh`` runs ``algebraic_gh`` on exact MGFs
-and a binned maximum-likelihood fit over all paths on samples.
+``algebraic_gh`` is the paper's method, a chain of stages run in order:
+each path's MGF, a callable t -> MGF (``_path_mgfs``), its probe points
+(``_path_taus``), its right-hand side, and its real roots, matched across
+paths into one estimate per link (``_matched_roots``).  ``estimate_exp``
+is the same chain at d = 1 with its own probe points and right-hand side,
+the elementary symmetric values of the path's link means.
+``estimate_gh`` runs ``algebraic_gh`` on exact MGFs and a binned
+maximum-likelihood fit over all paths on samples.
 Topologies that are not 1-identifiable are rejected up front.
 """
 
@@ -461,23 +460,19 @@ def _error_norm(estimate: np.ndarray, ground_truth) -> float | None:
     return float(np.linalg.norm((estimate - truth).ravel()))
 
 
-def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_tau, rhs):
-    """The chain of an algebraic estimator, shared by both: every path's
-    roots, then the match across paths.
+def _link_mgf(value, t):
+    """A ``GhMix``'s ``model.gh_mgf`` at t, or an exponential's of mean ``value``."""
+    return model.gh_mgf(value, t) if isinstance(value, model.GhMix) else 1 / (1 + t * float(value))
 
-    Checks the input: exactly one of ``samples`` (checked by
-    ``_check_samples``) and ``exact``, one exact value per link, whose MGF is
-    ``link_mgf(value, t)``, and an identifiable topology.  Then, per path,
-    builds its MGF ``mgf(t)``, ``mgfest.empirical_mgf`` of its samples or
-    the product of its links' MGFs: no later stage knows which.  Takes the
-    probe points ``opts.tau[i]``, or else ``default_tau(i, links)``, and the
-    right-hand side ``rhs(tau, n_i, mgf)``; a ``tau`` key that names no
-    path raises ``ValueError``.
-    ``polysolve.solve_system`` finds all roots of the path's system over the
-    rates ``lambdas``; those whose imaginary parts stay below
-    ``_NEAR_REAL_TOL_EXACT``, or ``_NEAR_REAL_TOL_SAMPLED`` on samples, count
-    as real.  ``match.run_matching`` picks one per path from these (R_i, N_i, d)
-    arrays, with ``opts.delta``.  Returns (MatchResult, one ``PathDiagnostics`` per path).
+
+def _path_mgfs(a, samples, exact, exact_name) -> list:
+    """Stage 1 of the algebraic chain: after the input checks, each path's
+    MGF as a callable t -> MGF, ``mgfest.empirical_mgf`` of its samples or
+    the product of its links' ``_link_mgf``: no later stage knows which.
+
+    Exactly one of ``samples`` (checked by ``_check_samples``) and ``exact``,
+    one value per link, named ``exact_name`` in errors, must be given, and
+    the topology must be identifiable.
     """
     if samples is None and exact is None:
         raise ValueError(f"need either samples or {exact_name}")
@@ -486,29 +481,36 @@ def _per_path(a, lambdas, samples, exact, exact_name, link_mgf, opts, default_ta
     _check_identifiable(a)
     if exact is None:
         _check_samples(a, samples)
-    elif len(exact) != a.n_links:
+        return [lambda t, y=np.asarray(y, dtype=float): mgfest.empirical_mgf(y, t) for y in samples]
+    if len(exact) != a.n_links:
         raise ValueError(f"{exact_name} lists {len(exact)} values for {a.n_links} links")
-    unknown = [i for i in opts.tau or () if i not in range(a.n_paths)]
+    return [lambda t, v=[exact[j] for j in sorted(a.path_links(i))]:
+            math.prod(_link_mgf(x, t) for x in v) for i in range(a.n_paths)]
+
+
+def _path_taus(a, tau) -> list:
+    """Stage 2: each path's probe points ``tau[i]``, or None for the
+    estimator's own rule; a key that names no path raises ``ValueError``."""
+    unknown = [i for i in tau or () if i not in range(a.n_paths)]
     if unknown:
         raise ValueError(f"tau names path(s) {unknown} outside 0..{a.n_paths - 1}")
-    near_real_tol = _NEAR_REAL_TOL_SAMPLED if exact is None else _NEAR_REAL_TOL_EXACT
-    roots = []
-    diagnostics: list[PathDiagnostics] = []
-    for i in range(a.n_paths):
-        links = tuple(sorted(a.path_links(i)))
-        n_i = len(links)
-        if exact is None:
-            def mgf(t, _y=np.asarray(samples[i], dtype=float)):
-                return mgfest.empirical_mgf(_y, t)
-        else:
-            def mgf(t, _values=tuple(exact[j] for j in links)):
-                return math.prod(link_mgf(v, t) for v in _values)
+    return [tuple(tau[i]) if i in (tau or ()) else None for i in range(a.n_paths)]
 
-        tau = tuple(opts.tau[i]) if i in (opts.tau or ()) else default_tau(i, links)
-        sol = polysolve.solve_system(rhs(tau, n_i, mgf), n_i, lambdas)
+
+def _matched_roots(a, lambdas, rhs, taus, sampled: bool, delta):
+    """Stage 4: all roots of each path's system from its right-hand side
+    ``rhs[i]`` (``polysolve.solve_system``), the near-real ones (imaginary
+    parts below ``_NEAR_REAL_TOL_SAMPLED`` if ``sampled``, else
+    ``_NEAR_REAL_TOL_EXACT``) matched across paths by ``match.run_matching``.
+    Returns (MatchResult, one ``PathDiagnostics`` per path)."""
+    near_real_tol = _NEAR_REAL_TOL_SAMPLED if sampled else _NEAR_REAL_TOL_EXACT
+    roots, diagnostics = [], []
+    for i, (u, tau) in enumerate(zip(rhs, taus)):
+        n_i = len(a.path_links(i))
+        sol = polysolve.solve_system(u, n_i, lambdas)
         roots.append(sol.real_roots(near_real_tol).reshape(-1, n_i, len(lambdas) - 1))
         diagnostics.append(PathDiagnostics(i, tau, sol.n_roots))
-    return match.run_matching(a, roots, delta=opts.delta), diagnostics
+    return match.run_matching(a, roots, delta=delta), diagnostics
 
 
 def algebraic_gh(
@@ -522,11 +524,12 @@ def algebraic_gh(
 ):
     """The paper's algebraic estimator of every link's weight vector.
 
-    Per path: probe points (``mgfest.choose_tau`` unless given), the
-    constants c from the path's MGF, empirical from ``samples`` or analytic
-    from ``exact_mixes`` (exactly one must be given), the right-hand side u
-    from T_tau u = c and all roots of the path's system from u and the
-    rates; then ``match.run_matching`` matches the roots across paths.
+    Its stages run in order over all paths: the MGFs (``_path_mgfs``),
+    empirical from ``samples`` or analytic from ``exact_mixes`` (exactly
+    one must be given); the probe points (``_path_taus``, else
+    ``mgfest.choose_tau``); the right-hand sides u of T_tau u = c
+    (``epsbuild.build_t_tau``, ``mgfest.assemble_constants``); and all
+    roots of each path's system, matched across paths (``_matched_roots``).
     Returns (MatchResult, diagnostics) and raises ``match.AmbiguityError``
     when matching fails.  Each of ``exact_mixes`` must be a mixture over
     ``lambdas``, or ``ValueError`` names its link.  With ``exact_mixes``, a
@@ -542,16 +545,16 @@ def algebraic_gh(
         if mix.rates != rates:
             raise ValueError(f"exact_mixes: link {j} has rates {mix.rates}, not lambdas {rates}")
 
-    def choose_tau(i, links):
-        return mgfest.choose_tau(len(links), d, lambdas, seed=opts.tau_seed + 7919 * i)
-
-    def rhs(tau, n_i, mgf):
-        t_tau = epsbuild.build_t_tau(tau, n_i, d, lambdas)
-        return np.linalg.solve(t_tau, mgfest.assemble_constants(mgf, tau, n_i, lambdas))
-
-    result, diagnostics = _per_path(
-        a, lambdas, samples, exact_mixes, "exact_mixes", model.gh_mgf, opts, choose_tau, rhs
-    )
+    mgfs = _path_mgfs(a, samples, exact_mixes, "exact_mixes")
+    n = [len(a.path_links(i)) for i in range(a.n_paths)]
+    taus = [
+        mgfest.choose_tau(n[i], d, lambdas, seed=opts.tau_seed + 7919 * i) if tau is None else tau
+        for i, tau in enumerate(_path_taus(a, opts.tau))
+    ]
+    rhs = [np.linalg.solve(epsbuild.build_t_tau(tau, n_i, d, lambdas),
+                           mgfest.assemble_constants(mgf, tau, n_i, lambdas))
+           for mgf, tau, n_i in zip(mgfs, taus, n)]
+    result, diagnostics = _matched_roots(a, lambdas, rhs, taus, samples is not None, opts.delta)
     result = replace(result, error_norm=_error_norm(result.weights, ground_truth))
     if exact_mixes is not None:
         for j, row in enumerate(result.weights):
@@ -622,13 +625,14 @@ def estimate_exp(
 
     Give exactly one of ``samples``, a per-path sequence of delay arrays,
     and ``exact_means``, a vector of true link means, each finite and > 0
-    or ``ValueError`` names its link.  This is ``algebraic_gh``'s chain at
-    d = 1 (``_per_path``): each path's probe points, unless given, scale with
-    its mean delay (the sample mean, or the sum of its exact means) to keep
-    t * E[Y] moderate so that 1/MGF stays well estimated; its
-    right-hand side is the elementary symmetric values of its link means
+    or ``ValueError`` names its link.  This is ``algebraic_gh``'s chain of
+    stages at d = 1: the MGFs (``_path_mgfs``); the probe points
+    (``_path_taus``), unless given scaled by the path's mean delay (the
+    sample mean, or the sum of its exact means) to keep t * E[Y] moderate
+    so that 1/MGF stays well estimated; the right-hand sides, the
+    elementary symmetric values of each path's link means
     (``expmeans.build_mean_system``), whose roots are the permutations of
-    those means; ``match.run_matching`` then pins each mean to its link.
+    those means; and ``_matched_roots``, which pins each mean to its link.
     ``ground_truth``, when given, is a vector of link means and
     ``error_norm`` the estimate's distance from it.  Returns (means array,
     MatchResult, per-path diagnostics) and raises ``match.AmbiguityError``
@@ -640,22 +644,16 @@ def estimate_exp(
         if not 0.0 < float(mean) < math.inf:
             raise ValueError(f"exact_means: link {j} has mean {mean}; need finite and > 0")
 
-    def mean_scaled_tau(i, links):
-        if samples is None:
-            scale = float(sum(exact_means[j] for j in links))
-        else:
-            scale = float(np.mean(samples[i]))
-        if len(links) == 1:
-            return (1.0 / scale,)
-        return tuple(np.geomspace(0.2 / scale, 2.0 / scale, len(links)))
-
-    def exp_mgf(mean, t):
-        return 1.0 / (1.0 + t * float(mean))
-
-    result, diagnostics = _per_path(
-        a, _EXP_RATES, samples, exact_means, "exact_means", exp_mgf, opts, mean_scaled_tau,
-        expmeans.build_mean_system,
-    )
+    mgfs = _path_mgfs(a, samples, exact_means, "exact_means")
+    taus = _path_taus(a, opts.tau)
+    links = [sorted(a.path_links(i)) for i in range(a.n_paths)]
+    for i, lk in enumerate(links):
+        if taus[i] is None:
+            mean = sum(exact_means[j] for j in lk) if samples is None else np.mean(samples[i])
+            scale, n_i = float(mean), len(lk)
+            taus[i] = tuple(np.geomspace(0.2 / scale, 2 / scale, n_i)) if n_i > 1 else (1 / scale,)
+    rhs = [expmeans.build_mean_system(tau, len(lk), mgf) for tau, lk, mgf in zip(taus, links, mgfs)]
+    result, diagnostics = _matched_roots(a, _EXP_RATES, rhs, taus, samples is not None, opts.delta)
     means = result.weights[:, 0].copy()
     for j, mean in enumerate(means):
         if not 0.0 < mean < math.inf:

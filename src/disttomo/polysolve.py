@@ -60,15 +60,17 @@ class SolutionSet:
 
 
 def _dedup(points, tol: float) -> list[int]:
-    """Indices of the points left after merging near-coincident ones; the
-    order is made deterministic by sorting."""
-    order = sorted(
-        range(len(points)),
-        key=lambda i: tuple(np.round(points[i], 9).view(float)),
-    )
+    """Indices of the points, one per row, left after merging near-coincident
+    ones.  In the order of their values rounded to 9 digits, which makes it
+    deterministic, a point is kept unless it lies within ``tol`` of a point
+    kept before it; one vectorised norm compares it with all of those."""
+    points = np.asarray(points)
+    keys = np.round(points, 9).view(float).tolist()
+    kept_rows = np.empty_like(points)
     kept: list[int] = []
-    for i in order:
-        if all(np.linalg.norm(points[i] - points[k]) >= tol for k in kept):
+    for i in sorted(range(len(points)), key=keys.__getitem__):
+        if not kept or np.linalg.norm(kept_rows[:len(kept)] - points[i], axis=1).min() >= tol:
+            kept_rows[len(kept)] = points[i]
             kept.append(i)
     return kept
 

@@ -31,7 +31,10 @@ _INV_CDF_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Per-path IID end-to-end delay samples plus the master seed used."""
+    """Per-path IID end-to-end delay samples plus the master seed used.
+
+    Every path needs at least one sample, and all finite and nonnegative,
+    or ``ValueError`` names the first bad path."""
 
     samples: tuple[np.ndarray, ...]
     seed: int
@@ -40,7 +43,10 @@ class SampleSet:
         for i, y in enumerate(self.samples):
             if y.size == 0:
                 raise ValueError(f"path {i} has no samples")
-            if y.min() < 0:
+            lo, hi = y.min(), y.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"path {i} has non-finite samples")
+            if lo < 0:
                 raise ValueError(f"path {i} has negative samples")
             y.setflags(write=False)
 

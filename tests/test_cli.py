@@ -221,8 +221,9 @@ class TestEstimate:
             ("0,0,inf\n1,0,0.7\n", "path 0 has non-finite"),
             ("0,0,1.5\n1,0,-0.7\n", "path 1 has negative"),
             ("0,0,1.5\n1,0,0.7\n2,0,0.9\n", "path id(s) [2] outside 0..1"),
+            ("0,0,1.5\n1,0,0.7\n1e300,0,0.9\n", "path id(s) [1e+300] outside 0..1"),
         ],
-        ids=["truncated", "nan", "inf", "negative", "unknown_path"],
+        ids=["truncated", "nan", "inf", "negative", "unknown_path", "huge_path_id"],
     )
     def test_bad_sample_rows_exit_2(self, topo_path, tmp_path, capsys, rows, message):
         samples = tmp_path / "bad.csv"

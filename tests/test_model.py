@@ -189,6 +189,17 @@ class TestHypoexpCdf:
         assert got[1] == 1.0
         assert got[0] == hypoexp_cdf(rates, 0.5)
 
+    @pytest.mark.parametrize("y", [1e308, np.finfo(float).max])
+    @pytest.mark.parametrize(
+        "rates", [(5.0, 5.0, 3.0), (5.0, 5.0), (1.0, 1.0, 2.0), (3.0, 3.0, 3.0, 0.5, 0.5), (5.0, 3.0)]
+    )
+    def test_where_rate_times_y_overflows(self, rates, y):
+        # r * y is inf for every rate here; the CDF stays on its tail plateau
+        # (the pytest settings turn any RuntimeWarning into an error)
+        got = hypoexp_cdf(rates, [y])
+        assert got[0] == hypoexp_cdf(rates, 1e10)
+        assert abs(got[0] - 1.0) <= 1e-12
+
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             hypoexp_cdf((), 1.0)

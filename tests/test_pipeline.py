@@ -1,12 +1,14 @@
+import json
 import re
 import zlib
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disttomo import epsbuild, experiments, expmeans, match, mgfest, pipeline, polysolve
+from disttomo import epsbuild, experiments, expmeans, match, mgfest, model, pipeline, polysolve
 from disttomo.model import GhMix, RoutingMatrix
 from disttomo.simulate import sample_paths
 
@@ -490,6 +492,165 @@ class TestPinnedOutput:
             options=pipeline.EstimateOptions(solver_seed=2),
         )
         assert np.abs(result.weights - np.array(self.PINNED_EXPT3)).max() <= 1e-5
+
+
+EXP_TOPOLOGY = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expmeans_topology.json").read_text()
+)
+EXPT1_TAUS = (
+    (4.366390744239538, 0.055224424996258376, 5.55465416094267, 1.2102927113590014),
+    (0.1418958402900145, 4.046935994784101, 2.071851593791517, 1.2798922612559815),
+)
+EXPT1_TAUS_1004 = (
+    (10.757543062886766, 3.644062659927572, 15.40532438843344, 0.2661776595133576),
+    (7.662095692395686, 0.3404433304086623, 1.9494087552834982, 6.182704872341481),
+)
+
+
+class TestPinnedAlgebraicChain:
+    """Weights (or means), probe points and root counts of the algebraic
+    chain, recorded before its stages were split out of one per-path loop;
+    guards refactors of the chain.  The sampled expt1 estimate is one of the
+    spurious roots that the per-path solve picks on samples."""
+
+    PINNED = {
+        "expt1-exact-0": (
+            ((0.17000000000243773, 0.7999999999985626, 0.029999999998999605),
+             (0.12999999999663872, 0.47000000000314945, 0.40000000000021185),
+             (0.7999999999989781, 0.1499999999991305, 0.05000000000189142)),
+            EXPT1_TAUS, (6, 6),
+        ),
+        "expt1-exact-1004": (
+            ((0.16999999999731066, 0.8000000000013542, 0.03000000000133518),
+             (0.1300000000036658, 0.4699999999965937, 0.39999999999974056),
+             (0.8000000000014061, 0.15000000000106398, 0.04999999999752991)),
+            EXPT1_TAUS_1004, (6, 6),
+        ),
+        "expt3-exact-0": (
+            ((0.33999999999821945, 0.2600000000016517, 0.4000000000001289),
+             (0.4600000000025585, 0.48999999999772054, 0.049999999999720934),
+             (0.11999999999997535, 0.6500000000000568, 0.2299999999999679),
+             (0.7099999999999487, 0.1899999999994239, 0.10000000000062736)),
+            EXPT1_TAUS
+            + ((8.269556990259636, 3.1636933992876504, 4.184508779243664, 0.1415387266516221),),
+            (6, 6, 6),
+        ),
+        "expt3-exact-1004": (
+            ((0.3400000000008173, 0.2599999999992102, 0.3999999999999725),
+             (0.4599999999991067, 0.4900000000000398, 0.050000000000853584),
+             (0.11999999999998469, 0.6500000000000401, 0.22999999999997522),
+             (0.7099999999996718, 0.1900000000020514, 0.0999999999982768)),
+            EXPT1_TAUS_1004
+            + ((2.7971185666013727, 4.064891624165009, 0.9892116707951102, 0.7029522412327456),),
+            (6, 6, 6),
+        ),
+        "expt1-sampled-0": (
+            ((-0.04301165497557601, 0.058005097639871384, 0.9850065573357046),
+             (2.8804666296090935, -1.8355657306697801, -0.04490089893931337),
+             (5.485074278495449, -4.47432966654854, -0.01074461194690901)),
+            EXPT1_TAUS, (6, 6),
+        ),
+        "exp-exact": (
+            (0.3999999999999977, 0.9999999999999987, 2.5000000000000115, 4.000000000000006),
+            ((0.14285714285714288, 1.4285714285714286), (0.06896551724137931, 0.6896551724137931),
+             (0.04, 0.4)),
+            (2, 2, 2),
+        ),
+        "exp-sampled-0": (
+            (0.4112321754298361, 0.9821143058727423, 2.492186813232847, 3.959222657244803),
+            ((0.14258911313308875, 1.4258911313308873), (0.06916118344464754, 0.6916118344464754),
+             (0.040460880243966525, 0.40460880243966524)),
+            (2, 2, 2),
+        ),
+    }
+
+    @staticmethod
+    def _run(case):
+        name, mode, *seed = case.split("-")
+        seed = int(seed[0]) if seed else None
+        if name == "exp":
+            a = RoutingMatrix(tuple(map(tuple, EXP_TOPOLOGY["matrix"])))
+            means = EXP_TOPOLOGY["means"]
+            if mode == "exact":
+                estimate, _, diags = pipeline.estimate_exp(a, exact_means=means)
+            else:
+                mixes = [GhMix((1.0 / m,), (1.0,)) for m in means]
+                samples = sample_paths(a, mixes, 20_000, seed=seed).samples
+                estimate, _, diags = pipeline.estimate_exp(
+                    a, samples=samples, options=pipeline.EstimateOptions(delta=0.05)
+                )
+            return estimate, diags
+        setup = experiments.get_setup(name)
+        if mode == "exact":
+            result, diags = pipeline.estimate_gh(
+                setup.matrix, setup.effective_rates, exact_mixes=setup.mixes(),
+                options=pipeline.EstimateOptions(tau_seed=seed),
+            )
+        else:
+            samples = sample_paths(setup.matrix, setup.mixes(), 20_000, seed=seed).samples
+            result, diags = pipeline.algebraic_gh(
+                setup.matrix, setup.effective_rates, samples=samples
+            )
+        return result.weights, diags
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_outputs(self, case):
+        weights, taus, n_roots = self.PINNED[case]
+        estimate, diags = self._run(case)
+        assert np.abs(estimate - np.array(weights)).max() <= 1e-12
+        assert [d.path_id for d in diags] == list(range(len(taus)))
+        for d, tau in zip(diags, taus):
+            assert np.abs(np.array(d.tau) - tau).max() <= 1e-12
+        assert tuple(d.n_roots for d in diags) == n_roots
+
+
+class TestChainStages:
+    """Each stage of the algebraic chain runs on its own."""
+
+    MIXES = [GhMix(RATES, w) for w in WEIGHTS]
+
+    def test_path_mgfs_on_samples_are_the_empirical_mgf(self):
+        samples = sample_paths(EXPT1, self.MIXES, 1000, seed=0).samples
+        mgfs = pipeline._path_mgfs(EXPT1, samples, None, "exact_mixes")
+        assert len(mgfs) == 2
+        for mgf, y in zip(mgfs, samples):
+            assert mgf(0.7) == mgfest.empirical_mgf(y, 0.7)
+
+    def test_path_mgfs_on_exact_values_are_products_of_link_mgfs(self):
+        mgfs = pipeline._path_mgfs(EXPT1, None, self.MIXES, "exact_mixes")
+        assert mgfs[0](0.7) == model.gh_mgf(self.MIXES[0], 0.7) * model.gh_mgf(self.MIXES[1], 0.7)
+        assert mgfs[1](0.7) == model.gh_mgf(self.MIXES[0], 0.7) * model.gh_mgf(self.MIXES[2], 0.7)
+        # exact means are exponential links
+        mgfs = pipeline._path_mgfs(EXPT1, None, [1.0, 2.0, 3.0], "exact_means")
+        assert mgfs[1](0.5) == pytest.approx(1.0 / (1.5 * 2.5), rel=1e-15)
+
+    def test_path_taus(self):
+        assert pipeline._path_taus(EXPT1, None) == [None, None]
+        assert pipeline._path_taus(EXPT1, {1: [0.5, 1.0]}) == [None, (0.5, 1.0)]
+        with pytest.raises(ValueError, match=re.escape("tau names path(s) [2, -1] outside 0..1")):
+            pipeline._path_taus(EXPT1, {0: (1.0,), 2: (1.0,), -1: (1.0,)})
+
+    def test_matched_roots_on_exact_right_hand_sides(self):
+        mgfs = pipeline._path_mgfs(EXPT1, None, self.MIXES, "exact_mixes")
+        taus = [EXPT1_TAUS[0], EXPT1_TAUS[1]]
+        rhs = [
+            np.linalg.solve(epsbuild.build_t_tau(tau, 2, 2, RATES),
+                            mgfest.assemble_constants(mgf, tau, 2, RATES))
+            for mgf, tau in zip(mgfs, taus)
+        ]
+        result, diags = pipeline._matched_roots(EXPT1, RATES, rhs, taus, False, None)
+        np.testing.assert_allclose(result.weights, WEIGHTS, atol=1e-9)
+        assert diags == [pipeline.PathDiagnostics(0, taus[0], 6),
+                         pipeline.PathDiagnostics(1, taus[1], 6)]
+
+    def test_matched_roots_near_real_tolerance(self):
+        # one link, whose system is x = u: a root 0.1 off the real axis is
+        # real on samples only
+        rhs = [np.array([0.3 + 0.1j, 0.2])]
+        with pytest.raises(match.AmbiguityError):
+            pipeline._matched_roots(ONE_LINK, RATES, rhs, [(1.0, 2.0)], False, None)
+        result, _ = pipeline._matched_roots(ONE_LINK, RATES, rhs, [(1.0, 2.0)], True, None)
+        np.testing.assert_array_equal(result.weights, [[0.3, 0.2, 0.5]])
 
 
 class TestMatchingFallback:

@@ -7,6 +7,8 @@ from disttomo import mgfest
 from disttomo.epsbuild import build_eps, build_t_tau
 from disttomo.model import GhMix, gh_mgf
 from disttomo.polysolve import (
+    _DEDUP_TOL,
+    _dedup,
     reduce_first_components,
     solve_system,
     solve_univariate,
@@ -133,6 +135,15 @@ class TestSolveSystem:
         x_true = np.array([0.17, 0.80, 0.17, 0.80])
         assert min(np.linalg.norm(r - x_true) for r in sol.roots) < 1e-6
 
+    def test_four_link_path_has_every_split(self):
+        # N = 4, d = 2: 8!/(2!)^4 = 2520 roots.  The right-hand side is E at
+        # the true weights: no well-conditioned T_tau exists at N = 4.
+        weights = [(0.17, 0.80, 0.03), (0.13, 0.47, 0.40), (0.80, 0.15, 0.05), (0.38, 0.23, 0.39)]
+        x_true = np.concatenate([w[:2] for w in weights])
+        sol = solve_system(residual(x_true, 0.0, 4), 4, RATES)
+        assert sol.n_roots == sol.n_paths == 2520
+        assert np.linalg.norm(sol.roots - x_true, axis=1).min() < 1e-6
+
     @pytest.mark.parametrize("n_i, scale, count", [(2, 1e6, 6), (3, 1e5, 90)])
     def test_large_right_hand_side_keeps_every_root(self, n_i, scale, count):
         # Every split of Q's roots is a root whose residual is small next to
@@ -141,6 +152,46 @@ class TestSolveSystem:
         sol = solve_system(rhs, n_i, RATES)
         assert sol.n_roots == count
         assert all(np.abs(residual(r, rhs, n_i)).max() < 1e-10 * scale for r in sol.roots)
+
+
+def _dedup_pairwise(points, tol):
+    """The merge rule one pair at a time: the sorted points, each kept
+    unless within ``tol`` of one kept before it."""
+    order = sorted(range(len(points)), key=lambda i: tuple(np.round(points[i], 9).view(float)))
+    kept = []
+    for i in order:
+        if all(np.linalg.norm(points[i] - points[k]) >= tol for k in kept):
+            kept.append(i)
+    return kept
+
+
+class TestDedup:
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_keeps_what_the_pairwise_rule_keeps(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            z = rng.normal(size=shape)
+            return z if dtype is float else z + 1j * rng.normal(size=shape)
+
+        base = draw(40, 6)
+        step = draw(40, 6)
+        step *= _DEDUP_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+        # ten base points each get a neighbour just inside the tolerance,
+        # one just outside it, a chain of two whose far end is near only
+        # the merged middle point, or a copy
+        points = rng.permutation(np.concatenate([
+            base,
+            base[:10] + (1.0 - 1e-6) * step[:10],
+            base[10:20] + (1.0 + 1e-6) * step[10:20],
+            base[20:30] + 0.6 * step[20:30],
+            base[20:30] + 1.2 * step[20:30],
+            base[30:],
+        ]))
+        got = _dedup(points, _DEDUP_TOL)
+        assert got == _dedup_pairwise(points, _DEDUP_TOL)
+        assert len(got) == 10 * (1 + 2 + 2 + 1)
 
 
 class TestRealRoots:

@@ -183,3 +183,8 @@ class TestSampleSet:
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError, match="negative"):
             SampleSet(samples=(np.array([-1.0, 2.0]),), seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples_naming_the_path(self, bad):
+        with pytest.raises(ValueError, match="path 1 has non-finite samples"):
+            SampleSet(samples=(np.array([1.0, 2.0]), np.array([1.0, bad])), seed=0)
