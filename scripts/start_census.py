@@ -14,7 +14,9 @@ it prints the smallest K whose best-of-K is within ``--tol`` nats of the
 best of all starts, the shipped fit's gap to that best, how far the shipped
 weights lie from the best start's, and each shipped start's iteration
 count: the batch runs as many iterations as its slowest start.  The last
-line counts the runs on which the shipped start count falls short.
+two lines count the runs on which the shipped start count falls short, and
+those on which the shipped fit's best start did not converge, where
+``estimate_gh`` raises.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ def census_run(name: str, seed: int, n_samples: int, n_starts: int, tol: float) 
     n_shipped = pipeline._N_STARTS
     best = values.min()
     k_needed = int(np.argmax(np.minimum.accumulate(values) <= best + tol)) + 1
-    free = fits.x[[np.argmin(values[:n_shipped]), np.argmin(values)]].reshape(2, n, d)
+    shipped_best = np.argmin(values[:n_shipped])
+    free = fits.x[[shipped_best, np.argmin(values)]].reshape(2, n, d)
     shipped_weights, best_weights = np.concatenate([free, 1.0 - free.sum(2, keepdims=True)], 2)
     return {
         "experiment": name,
@@ -57,6 +60,7 @@ def census_run(name: str, seed: int, n_samples: int, n_starts: int, tol: float) 
         "shipped_gap": float(values[:n_shipped].min() - best),
         "weight_change": float(np.abs(shipped_weights - best_weights).max()),
         "converged": int(fits.success.sum()),
+        "shipped_converged": bool(fits.success[shipped_best]),
         "starts": len(values),
         "nit": fits.nit[:n_shipped].tolist(),
     }
@@ -80,7 +84,7 @@ def main(argv=None) -> int:
     parser.add_argument("--starts", type=int, default=17)
     parser.add_argument("--tol", type=float, default=1e-6, help="nats")
     args = parser.parse_args(argv)
-    short = []
+    short, unconverged = [], []
     print("experiment seed  K  shipped_gap  weight_change  converged  shipped nit (max/mean)")
     for name in args.experiments:
         for seed in _seeds(args.seeds):
@@ -92,8 +96,12 @@ def main(argv=None) -> int:
                   flush=True)
             if run["k_needed"] > run["shipped_starts"]:
                 short.append(f"{name}/{seed}")
+            if not run["shipped_converged"]:
+                unconverged.append(f"{name}/{seed}")
     print(f"runs where the shipped starts miss the best of {args.starts} by more than "
           f"{args.tol:g} nats: {len(short)} {' '.join(short)}")
+    print(f"runs whose shipped best start did not converge: {len(unconverged)} "
+          f"{' '.join(unconverged)}")
     return 0
 
 

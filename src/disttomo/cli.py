@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, pipeline
+from . import experiments, match, pipeline
 from .model import GhMix, RoutingMatrix, identifiability_defects
 from .simulate import sample_paths
 
@@ -276,8 +276,13 @@ def cmd_estimate(args) -> int:
         tau=_parse_tau(args.tau, a, len(rates) - 1 if gh else 1),
         tau_seed=args.seed,
         solver_seed=args.seed,
-        delta=_parse_delta(args.delta),
     )
+    delta = _parse_delta(args.delta)
+    if delta is not None and gh and not exact:
+        raise ValidationError(
+            "--delta applies to the algebraic estimator only (--model exp, or "
+            "--exact-mgf); the likelihood fit on samples matches no roots"
+        )
     if gh:
         truth = None
         exact_mixes = None
@@ -307,10 +312,14 @@ def cmd_estimate(args) -> int:
             ground_truth=truth_means,
         )
         estimates = [{"mean": float(m)} for m in means]
+    if delta is not None and result.delta > delta:
+        raise match.AmbiguityError(
+            f"a block lies {result.delta:.3g} from its link's estimate, beyond delta={delta}"
+        )
     report = {
         "model": args.model,
         "seed": args.seed,
-        "delta": result.delta,
+        "delta": result.delta if delta is None else delta,
         "tau": {str(dg.path_id): list(dg.tau) for dg in diags},
         "links": [
             {"link_id": j, **estimate, "provenance": result.provenance[j]}

@@ -25,7 +25,8 @@ def build_mean_system(tau, n_i: int, mgf) -> np.ndarray:
     elementary symmetric values e_1, ..., e_{n_i} of the link means.
 
     Raises when an MGF value lies outside (0, 1] (reciprocal blow-up; choose
-    a smaller probe point).
+    a smaller probe point), and when a probe point's powers overflow, as
+    ``estimate_exp``'s reciprocal of a mean delay near 1e-300 makes them.
     """
     tau = tuple(float(t) for t in tau)
     if len(tau) != n_i or len(set(tau)) != n_i or not all(0 < t < math.inf for t in tau):
@@ -36,5 +37,11 @@ def build_mean_system(tau, n_i: int, mgf) -> np.ndarray:
             "MGF estimate outside (0, 1]; reciprocal undefined, use smaller probe points"
         )
     c = [1.0 / v for v in values]
-    vand = np.array([[t ** k for k in range(1, n_i + 1)] for t in tau])
+    try:
+        vand = np.array([[t ** k for k in range(1, n_i + 1)] for t in tau])
+    except OverflowError as exc:
+        raise ValueError(
+            f"probe point {max(tau):.3g} overflows its power t**{n_i}: use smaller "
+            "probe points, or rescale delays this small"
+        ) from exc
     return np.linalg.solve(vand, np.asarray(c) - 1.0)

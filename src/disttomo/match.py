@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import RoutingMatrix
 
-__all__ = ["MatchResult", "AmbiguityError", "check_delta", "run_matching"]
+__all__ = ["MatchResult", "AmbiguityError", "run_matching"]
 
 # Two combinations whose costs agree within this rounding tie; tied ones
 # whose link estimates differ by more than _SAME_TOL are ambiguous.
@@ -30,14 +30,18 @@ _MAX_COMBINATIONS = 10**6
 
 
 class AmbiguityError(RuntimeError):
-    """No root, no unique best combination of roots, or too many to search."""
+    """A path has no real root, the roots have too many combinations to
+    search, or two combinations tie at the least disagreement with different
+    link weights."""
 
 
 @dataclass(frozen=True)
 class MatchResult:
     """Per-link assigned weight vectors with provenance.
 
-    ``delta`` is None for the likelihood fit, which matches no roots.
+    ``delta`` is the matched roots' spread: the largest distance of a block
+    from its link's estimate.  It is None for the likelihood fit, which
+    matches no roots.
     ``error_norm`` is the estimate's distance from a ground truth: the
     estimators in ``pipeline`` fill it when given one.
     """
@@ -48,18 +52,12 @@ class MatchResult:
     error_norm: float | None = None
 
 
-def check_delta(delta: float | None) -> None:
-    """Raise ``ValueError`` unless ``delta`` is None or finite and > 0."""
-    if delta is not None and not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-
-
-def run_matching(a: RoutingMatrix, roots, delta: float | None = None) -> MatchResult:
+def run_matching(a: RoutingMatrix, roots) -> MatchResult:
     """Pick one root per path so that shared links' blocks disagree least.
 
     ``roots[i]`` is path i's real roots, an (R_i, N_i, d) array (or nested
-    sequences) of blocks in increasing link order.  Another length or shape,
-    or a ``delta`` that is not finite and > 0, raises ``ValueError``.
+    sequences) of finite blocks in increasing link order.  Another length or
+    shape, or a value that is not finite, raises ``ValueError``.
     The search is exhaustive over the product of the paths' root lists: on
     the bundled experiments that is at most 6**3 = 216 combinations.  It
     runs as array operations over all combinations at once: each link's
@@ -68,12 +66,9 @@ def run_matching(a: RoutingMatrix, roots, delta: float | None = None) -> MatchRe
     finds the combinations tied with it.
     Raises ``AmbiguityError`` when a path has no real root, when the root
     counts multiply to more than ``_MAX_COMBINATIONS`` (before allocating),
-    when two combinations tie at the least cost and give different link
-    weights, or when ``delta`` is given and some block lies more than
-    ``delta`` from its link's estimate.  ``MatchResult.delta`` is the given
-    ``delta`` or, when none is given, the largest block-to-estimate distance.
+    or when two combinations tie at the least cost and give different link
+    weights.  ``MatchResult.delta`` is the largest block-to-estimate distance.
     """
-    check_delta(delta)
     if len(roots) != a.n_paths:
         raise ValueError(f"got roots of {len(roots)} paths; the routing matrix has {a.n_paths}")
     links = [sorted(a.path_links(i)) for i in range(a.n_paths)]
@@ -83,6 +78,8 @@ def run_matching(a: RoutingMatrix, roots, delta: float | None = None) -> MatchRe
             raise AmbiguityError(f"path {i} has no real root")
         if r.shape[1:] != (len(links[i]), roots[0].shape[-1]):
             raise ValueError(f"path {i}'s roots have shape {r.shape}, not (R, N_i, d)")
+        if not np.isfinite(r).all():
+            raise ValueError(f"path {i} has a root that is not finite")
     counts = [len(r) for r in roots]
     n_combos = math.prod(counts)
     if n_combos > _MAX_COMBINATIONS:
@@ -119,10 +116,6 @@ def run_matching(a: RoutingMatrix, roots, delta: float | None = None) -> MatchRe
         (float(np.linalg.norm(b - m, axis=1).max()) for b, m in zip(blocks, means)),
         default=0.0,
     )
-    if delta is not None and spread > delta:
-        raise AmbiguityError(
-            f"a block lies {spread:.3g} from its link's estimate, beyond delta={delta}"
-        )
     weights = np.column_stack([means, 1.0 - means.sum(axis=1)])
     provenance = tuple(
         {
@@ -132,6 +125,4 @@ def run_matching(a: RoutingMatrix, roots, delta: float | None = None) -> MatchRe
         }
         for j in range(a.n_links)
     )
-    return MatchResult(
-        weights=weights, provenance=provenance, delta=spread if delta is None else delta
-    )
+    return MatchResult(weights=weights, provenance=provenance, delta=spread)

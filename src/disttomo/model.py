@@ -126,7 +126,8 @@ def gh_cdf(mix: GhMix, u: float) -> float:
         raise ValueError(f"u must be nonnegative, got {u}")
     rates = np.asarray(mix.rates)
     weights = np.asarray(mix.weights)
-    return float(weights @ (1.0 - np.exp(-rates * u)))
+    with np.errstate(over="ignore"):  # a huge u: every exponential is 0
+        return float(weights @ (1.0 - np.exp(-rates * u)))
 
 
 def gh_pdf(mix: GhMix, u: float) -> float:
@@ -136,7 +137,8 @@ def gh_pdf(mix: GhMix, u: float) -> float:
         raise ValueError(f"u must be nonnegative, got {u}")
     rates = np.asarray(mix.rates)
     weights = np.asarray(mix.weights)
-    return float((weights * rates) @ np.exp(-rates * u))
+    with np.errstate(over="ignore"):  # a huge u: every exponential is 0
+        return float((weights * rates) @ np.exp(-rates * u))
 
 
 def gh_mean(mix: GhMix) -> float:

@@ -38,18 +38,13 @@ _EXP_RATES = (2.0, 1.0)
 
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Knobs of one estimation run.  ``tau``, ``tau_seed`` and ``delta`` go to
-    the algebraic chain (``estimate_exp`` reads ``tau`` and ``delta``) and
-    ``solver_seed`` to the likelihood fit.  A ``delta`` that is not finite
-    and > 0 raises ``ValueError``."""
+    """Knobs of one estimation run.  ``tau`` and ``tau_seed`` go to the
+    algebraic chain (``estimate_exp`` reads ``tau``) and ``solver_seed`` to
+    the likelihood fit."""
 
     tau: dict[int, tuple[float, ...]] | None = None  # per-path probe points
     tau_seed: int = 0
     solver_seed: int = 0  # seeds the likelihood fit's random starts
-    delta: float | None = None  # bound on cross-path disagreement; None -> unbounded
-
-    def __post_init__(self):
-        match.check_delta(self.delta)
 
 
 @dataclass(frozen=True)
@@ -436,7 +431,10 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     steps.  Each iteration makes one objective call at the active starts'
     trial points, which returns their values, gradients and Hessians from
     the same products; the optimizer keeps a trial point's Hessian only
-    where its step is taken.
+    where its step is taken.  Raises ``RuntimeError`` when no start ends at
+    a finite value, or when the best start did not converge, naming why it
+    stopped: on one or two samples per path the fit goes nowhere or wanders
+    off to wild weights.
     """
     n, d = a.n_links, len(lambdas) - 1
     objective = _likelihood_objective(a, lambdas, samples)
@@ -444,7 +442,13 @@ def _likelihood_polish(a: model.RoutingMatrix, lambdas, samples, seed: int) -> n
     values = np.where(np.isnan(fits.fun), np.inf, fits.fun)
     if not (values < np.inf).any():
         raise RuntimeError("likelihood polish failed from every starting point")
-    return fits.x[np.argmin(values)].reshape(n, d)
+    best = np.argmin(values)
+    if not fits.success[best]:
+        raise RuntimeError(
+            f"likelihood fit did not converge: its best start stopped with "
+            f"'{fits.message[best]}'"
+        )
+    return fits.x[best].reshape(n, d)
 
 
 def _error_norm(estimate: np.ndarray, ground_truth) -> float | None:
@@ -497,7 +501,7 @@ def _path_taus(a, tau) -> list:
     return [tuple(tau[i]) if i in (tau or ()) else None for i in range(a.n_paths)]
 
 
-def _matched_roots(a, lambdas, rhs, taus, sampled: bool, delta):
+def _matched_roots(a, lambdas, rhs, taus, sampled: bool):
     """Stage 4: all roots of each path's system from its right-hand side
     ``rhs[i]`` (``polysolve.solve_system``), the near-real ones (imaginary
     parts below ``_NEAR_REAL_TOL_SAMPLED`` if ``sampled``, else
@@ -510,7 +514,7 @@ def _matched_roots(a, lambdas, rhs, taus, sampled: bool, delta):
         sol = polysolve.solve_system(u, n_i, lambdas)
         roots.append(sol.real_roots(near_real_tol).reshape(-1, n_i, len(lambdas) - 1))
         diagnostics.append(PathDiagnostics(i, tau, sol.n_roots))
-    return match.run_matching(a, roots, delta=delta), diagnostics
+    return match.run_matching(a, roots), diagnostics
 
 
 def algebraic_gh(
@@ -554,7 +558,7 @@ def algebraic_gh(
     rhs = [np.linalg.solve(epsbuild.build_t_tau(tau, n_i, d, lambdas),
                            mgfest.assemble_constants(mgf, tau, n_i, lambdas))
            for mgf, tau, n_i in zip(mgfs, taus, n)]
-    result, diagnostics = _matched_roots(a, lambdas, rhs, taus, samples is not None, opts.delta)
+    result, diagnostics = _matched_roots(a, lambdas, rhs, taus, samples is not None)
     result = replace(result, error_norm=_error_norm(result.weights, ground_truth))
     if exact_mixes is not None:
         for j, row in enumerate(result.weights):
@@ -581,11 +585,12 @@ def estimate_gh(
     Without ``samples``, or with ``exact_mixes``, this is ``algebraic_gh``,
     which checks the rates and the input sources.  On ``samples`` alone it is
     the binned likelihood fit from the uniform weights and random restarts,
-    which takes no ``tau`` or ``delta``, reports no per-path diagnostics and
-    a ``delta`` of None.  ``ground_truth``, when given, must have the
-    estimate's shape, and ``error_norm`` is their distance.  Returns
-    (MatchResult, diagnostics).  Its rates are checked as ``algebraic_gh``'s
-    are, before any work.
+    which takes no ``tau``, reports no per-path diagnostics and a ``delta``
+    of None, and raises ``RuntimeError`` when its best start did not
+    converge (``_likelihood_polish``).  ``ground_truth``, when given, must
+    have the estimate's shape, and ``error_norm`` is their distance.
+    Returns (MatchResult, diagnostics).  Its rates are checked as
+    ``algebraic_gh``'s are, before any work.
     """
     if samples is None or exact_mixes is not None:
         return algebraic_gh(
@@ -594,10 +599,10 @@ def estimate_gh(
         )
     model.check_rates(lambdas, 2)
     opts = options or EstimateOptions()
-    if opts.tau is not None or opts.delta is not None:
+    if opts.tau is not None:
         raise ValueError(
-            "tau and delta apply to the algebraic estimator only (algebraic_gh, "
-            "or exact_mixes); the likelihood fit on samples uses neither"
+            "tau applies to the algebraic estimator only (algebraic_gh, "
+            "or exact_mixes); the likelihood fit on samples uses no probe points"
         )
     _check_identifiable(a)
     w_free = _likelihood_polish(a, lambdas, samples, opts.solver_seed)
@@ -653,7 +658,7 @@ def estimate_exp(
             scale, n_i = float(mean), len(lk)
             taus[i] = tuple(np.geomspace(0.2 / scale, 2 / scale, n_i)) if n_i > 1 else (1 / scale,)
     rhs = [expmeans.build_mean_system(tau, len(lk), mgf) for tau, lk, mgf in zip(taus, links, mgfs)]
-    result, diagnostics = _matched_roots(a, _EXP_RATES, rhs, taus, samples is not None, opts.delta)
+    result, diagnostics = _matched_roots(a, _EXP_RATES, rhs, taus, samples is not None)
     means = result.weights[:, 0].copy()
     for j, mean in enumerate(means):
         if not 0.0 < mean < math.inf:

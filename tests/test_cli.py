@@ -363,6 +363,13 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err == f"error: {option} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_non_positive_delta_exits_2(self, exp_topo_path, capsys, bad):
+        argv = ["estimate", "--topology", exp_topo_path, "--model", "exp", "--exact-mgf",
+                "--delta", bad]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: --delta must be positive\n"
+
     @pytest.mark.parametrize(
         "option",
         [["--tau", "0.5,1.0,2.0,4.0"], ["--delta", "0.1"]],
@@ -376,6 +383,30 @@ class TestEstimate:
         argv = ["estimate", "--topology", topo_path, "--samples", str(samples), *option]
         assert cli.main(argv) == 2
         assert "algebraic estimator only" in capsys.readouterr().err
+
+    def test_unconverged_likelihood_fit_exits_3(self, topo_path, tmp_path, capsys):
+        samples = tmp_path / "one.csv"
+        samples.write_text("path_id,sample_index,value\n0,0,0.5\n1,0,1.5\n")
+        out = tmp_path / "one.json"
+        argv = ["estimate", "--topology", topo_path, "--samples", str(samples),
+                "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert "likelihood fit did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exp_model_on_tiny_delays_fails_in_one_line(
+        self, exp_topo_path, tmp_path, capsys
+    ):
+        # the probe points, about 1/mean = 1e300, overflow their squares
+        samples = tmp_path / "tiny.csv"
+        samples.write_text("path_id,sample_index,value\n" + "".join(
+            f"{i},{k},{k + 1}e-300\n" for i in range(2) for k in range(4)
+        ))
+        argv = ["estimate", "--topology", exp_topo_path, "--model", "exp",
+                "--samples", str(samples)]
+        assert cli.main(argv) in (2, 3)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflows" in err and "Traceback" not in err
 
     def test_simulate_estimate_roundtrip(self, topo_path, tmp_path):
         samples = tmp_path / "rt.csv"
@@ -394,7 +425,10 @@ class TestEstimate:
         assert report["error_norm"] < 0.25
         assert report["delta"] is None  # the likelihood fit has no delta
 
-    def test_exp_model_explicit_delta(self, tmp_path):
+    @staticmethod
+    def _exp4_samples(tmp_path):
+        """The estimate arguments of a 4-link exp topology's 20,000 samples
+        per path, whose matched roots spread 0.0128."""
         topo = tmp_path / "exp4.json"
         topo.write_text(json.dumps({
             "matrix": [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
@@ -405,17 +439,32 @@ class TestEstimate:
         assert cli.main(
             ["simulate", *common, "--L", "20000", "--seed", "0", "--out", str(samples)]
         ) == 0
+        return ["estimate", *common, "--samples", str(samples)]
+
+    def test_exp_model_explicit_delta(self, tmp_path):
         out = tmp_path / "exp4_report.json"
-        argv = [
-            "estimate", *common, "--samples", str(samples),
-            "--delta", "0.05", "--out", str(out),
-        ]
+        argv = [*self._exp4_samples(tmp_path), "--delta", "0.05", "--out", str(out)]
         assert cli.main(argv) == 0
         report = json.loads(out.read_text())
         assert report["delta"] == 0.05
         means = [link["mean"] for link in report["links"]]
         assert len(means) == 4 and np.isfinite(means).all()
         assert report["error_norm"] < 0.1
+
+    def test_exp_model_auto_delta_reports_the_spread(self, tmp_path):
+        out = tmp_path / "exp4_report.json"
+        assert cli.main([*self._exp4_samples(tmp_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["delta"] == pytest.approx(0.0128, abs=5e-5)
+
+    def test_delta_below_spread_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "exp4_report.json"
+        argv = [*self._exp4_samples(tmp_path), "--delta", "0.01", "--out", str(out)]
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            "pipeline error: a block lies 0.0128 from its link's estimate, beyond delta=0.01\n"
+        )
+        assert not out.exists()
 
 
 class TestExperiment:

@@ -49,7 +49,7 @@ def _matched_means(a, path_means):
     return run_matching(a, solutions).weights[:, 0]
 
 
-def _vieta_permutation_means(a, samples, taus, delta=None):
+def _vieta_permutation_means(a, samples, taus):
     """Reference for ``estimate_exp`` by a separate route.
 
     Each path's means are the real parts of the roots of its monic Vieta
@@ -67,7 +67,7 @@ def _vieta_permutation_means(a, samples, taus, delta=None):
             tuple(np.array([m]) for m in perm) for perm in sorted(set(permutations(means)))
         )
         solutions.append(roots)
-    return run_matching(a, solutions, delta=delta).weights[:, 0]
+    return run_matching(a, solutions).weights[:, 0]
 
 
 class TestBuildMeanSystem:
@@ -196,10 +196,9 @@ class TestEstimateExpPipeline:
     def test_matches_vieta_permutation_reference(self, seed):
         mixes = [GhMix((1.0 / m,), (1.0,)) for m in EXPT3_MEANS]
         samples = sample_paths(EXPT3, mixes, 200_000, seed=seed).samples
-        options = pipeline.EstimateOptions(delta=0.05)
-        means, _, diagnostics = pipeline.estimate_exp(EXPT3, samples=samples, options=options)
+        means, _, diagnostics = pipeline.estimate_exp(EXPT3, samples=samples)
         taus = {d.path_id: d.tau for d in diagnostics}
-        want = _vieta_permutation_means(EXPT3, samples, taus, delta=0.05)
+        want = _vieta_permutation_means(EXPT3, samples, taus)
         np.testing.assert_allclose(means, want, rtol=0, atol=1e-12)
 
     def test_complex_means_raise(self, monkeypatch):

@@ -43,12 +43,6 @@ class TestRunMatching:
                 set(entry["paths"]) & {b for b in sets.off_paths[j]}
             )
 
-    def test_explicit_delta_respected(self):
-        result = run_matching(
-            EXPT1, self.build_solutions(), delta=0.03
-        )
-        assert result.delta == pytest.approx(0.03)
-
 
 class TestLeastDisagreement:
     def test_symmetric_paths_are_ambiguous(self):
@@ -73,10 +67,6 @@ class TestLeastDisagreement:
         np.testing.assert_allclose(result.weights[0], [0.19, 0.80, 0.01])
         assert result.provenance[0]["blocks"] == [[0.17, 0.80], [0.21, 0.80]]
 
-    def test_delta_below_spread_raises(self):
-        with pytest.raises(AmbiguityError, match="delta"):
-            run_matching(EXPT1, self.noisy_solutions(), delta=0.01)
-
     def test_path_without_root_raises(self):
         sols = self.noisy_solutions()
         sols[1] = np.empty((0, 2, 2))
@@ -95,10 +85,12 @@ class TestLeastDisagreement:
             with pytest.raises(ValueError, match="path 1's roots have shape"):
                 run_matching(EXPT1, [sols[0], bad])
 
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -0.1])
-    def test_delta_not_finite_and_positive_raises(self, delta):
-        with pytest.raises(ValueError, match="delta must be finite and > 0"):
-            run_matching(EXPT1, self.noisy_solutions(), delta=delta)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_root_raises(self, bad):
+        sols = self.noisy_solutions()
+        sols[1] = np.full((1, 2, 2), bad)
+        with pytest.raises(ValueError, match="path 1 has a root that is not finite"):
+            run_matching(EXPT1, sols)
 
     def test_too_many_combinations_raise(self):
         # two paths sharing one link, with 1001 x 1000 one-block roots

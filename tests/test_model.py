@@ -104,6 +104,13 @@ class TestGhEvaluation:
         assert gh_pdf(mix, math.inf) == 0.0
         assert gh_mgf(mix, math.inf) == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_argument_without_overflow_warning(self):
+        # rate * 1e308 overflows to inf, where every exponential is 0
+        mix = GhMix(TABLE1_RATES, TABLE1_WEIGHTS[0])
+        assert gh_cdf(mix, 1e308) == gh_cdf(mix, math.inf)
+        assert gh_pdf(mix, 1e308) == 0.0
+
     def test_cdf_single_stage_median(self):
         assert gh_cdf(GhMix((1.0,), (1.0,)), math.log(2)) == pytest.approx(0.5)
 

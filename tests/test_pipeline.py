@@ -40,6 +40,19 @@ class TestSampledLikelihoodFit:
         assert result.provenance[0] == {"link": 0, "paths": [0, 1]}
         assert diagnostics == []
 
+    @pytest.mark.parametrize("n_samples, scale, stop", [
+        (1, 1.0, "the quadratic model predicts no decrease"),
+        (1, 1e-300, "the quadratic model predicts no decrease"),
+        (2, 1.0, "iteration limit reached"),
+    ], ids=["one-sample", "one-tiny-sample", "two-samples"])
+    def test_unconverged_fit_raises(self, n_samples, scale, stop):
+        # one sample per path leaves every start where it began; two send
+        # them to wild weights until the step limit
+        mixes = [GhMix(RATES, w) for w in WEIGHTS]
+        samples = [y * scale for y in sample_paths(EXPT1, mixes, n_samples, seed=0).samples]
+        with pytest.raises(RuntimeError, match=f"did not converge: .*'{stop}'"):
+            pipeline.estimate_gh(EXPT1, RATES, samples=samples)
+
 
 def _objective(monkeypatch, a, rates, samples):
     """The likelihood fit's batched objective (``_likelihood_objective``) as
@@ -576,9 +589,7 @@ class TestPinnedAlgebraicChain:
             else:
                 mixes = [GhMix((1.0 / m,), (1.0,)) for m in means]
                 samples = sample_paths(a, mixes, 20_000, seed=seed).samples
-                estimate, _, diags = pipeline.estimate_exp(
-                    a, samples=samples, options=pipeline.EstimateOptions(delta=0.05)
-                )
+                estimate, _, diags = pipeline.estimate_exp(a, samples=samples)
             return estimate, diags
         setup = experiments.get_setup(name)
         if mode == "exact":
@@ -638,7 +649,7 @@ class TestChainStages:
                             mgfest.assemble_constants(mgf, tau, 2, RATES))
             for mgf, tau in zip(mgfs, taus)
         ]
-        result, diags = pipeline._matched_roots(EXPT1, RATES, rhs, taus, False, None)
+        result, diags = pipeline._matched_roots(EXPT1, RATES, rhs, taus, False)
         np.testing.assert_allclose(result.weights, WEIGHTS, atol=1e-9)
         assert diags == [pipeline.PathDiagnostics(0, taus[0], 6),
                          pipeline.PathDiagnostics(1, taus[1], 6)]
@@ -648,8 +659,8 @@ class TestChainStages:
         # real on samples only
         rhs = [np.array([0.3 + 0.1j, 0.2])]
         with pytest.raises(match.AmbiguityError):
-            pipeline._matched_roots(ONE_LINK, RATES, rhs, [(1.0, 2.0)], False, None)
-        result, _ = pipeline._matched_roots(ONE_LINK, RATES, rhs, [(1.0, 2.0)], True, None)
+            pipeline._matched_roots(ONE_LINK, RATES, rhs, [(1.0, 2.0)], False)
+        result, _ = pipeline._matched_roots(ONE_LINK, RATES, rhs, [(1.0, 2.0)], True)
         np.testing.assert_array_equal(result.weights, [[0.3, 0.2, 0.5]])
 
 
@@ -943,13 +954,6 @@ class TestOneInputSource:
         (name,) = exact
         with pytest.raises(ValueError, match=f"give exactly one of samples or {name}"):
             getattr(pipeline, estimator)(*args, samples=[[np.nan]] * 2, **exact)
-
-
-class TestDeltaOption:
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
-    def test_non_finite_or_non_positive_delta_raises(self, delta):
-        with pytest.raises(ValueError, match="delta"):
-            pipeline.EstimateOptions(delta=delta)
 
 
 class TestTauKeys:

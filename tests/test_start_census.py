@@ -19,6 +19,7 @@ def test_census_run_continues_the_shipped_starts():
     assert run["shipped_starts"] == 7
     assert run["starts"] == 8
     assert run["k_needed"] <= 8
+    assert run["shipped_converged"] is True
 
 
 def test_first_starts_of_a_longer_batch_are_the_shipped_fit():
